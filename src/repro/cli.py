@@ -461,10 +461,11 @@ def _cmd_engine_diff(args) -> int:
 def _load_run_stats(store, ref: str):
     """One stored run's RunStats: the sidecar, else recomputed.
 
-    Runs recorded before the stats layer (or whose engine was killed
-    before the summary write) have no sidecar; their scheduler stats
-    are recomputed from the per-job records, with the worker count —
-    not recoverable from records — left unknown.
+    Runs recorded before the stats layer, runs a server is still
+    serving, and runs whose engine or server was killed before the
+    summary write have no sidecar; their scheduler stats are
+    recomputed from the per-job records, with the worker count — not
+    recoverable from records — left unknown.
     """
     from repro.engine import RunStats, stats_from_records
 

@@ -14,9 +14,8 @@ Safety model (what ``repro serve`` relies on):
   per-shard ``flock`` (plus an in-process mutex for threads sharing
   the store object), so lines from concurrent writers never interleave;
 * **stats sidecars** — ``<root>/stats/<run_id>.json`` written via
-  per-pid tmp file + atomic rename
-  (:func:`~repro.engine.store.write_json_atomic`), the cache's
-  convention;
+  per-writer tmp file + atomic rename
+  (:func:`~repro.engine.store.write_json_atomic`);
 * **layout marker** — ``<root>/store.json`` records the schema and
   shard width, so a store is always reopened with the width it was
   created with.

@@ -409,15 +409,16 @@ def stats_from_results(
 class StatsAccumulator:
     """Fold results into a :class:`RunStats` one at a time, bounded.
 
-    :func:`stats_from_results` re-walks every retained result, which is
-    fine for a batch engine run but O(n²) over a long-lived server's
-    lifetime — and forces keeping every :class:`RunResult` (report
-    dictionaries included) alive forever.  The accumulator folds each
-    result exactly once into running aggregates, retains only the
-    newest ``keep_jobs`` per-job rows for the sidecar table, and
-    :meth:`snapshot` emits a :class:`RunStats` whose aggregate fields
-    match ``stats_from_results`` over everything ever added (the
-    ``jobs`` list is the only truncated field).
+    :func:`stats_from_results` needs every result of the run at once,
+    which is fine for a batch engine run but would keep every
+    :class:`RunResult` (report dictionaries included) of a long-lived
+    server alive until shutdown.  The accumulator folds each result
+    exactly once into running aggregates and retains only the newest
+    ``keep_jobs`` per-job rows for the sidecar table; the server calls
+    :meth:`snapshot` once, at shutdown, for its run's one sidecar.  The
+    snapshot's aggregate fields match ``stats_from_results`` over
+    everything ever added (the ``jobs`` list is the only truncated
+    field).
     """
 
     def __init__(

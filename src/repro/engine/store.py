@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
@@ -30,14 +31,14 @@ def new_run_id() -> str:
 def write_json_atomic(path: Path, record: Dict) -> Path:
     """Serialize ``record`` to ``path`` via tmp file + atomic rename.
 
-    Concurrent writers (two engines sharing a store, the serve
-    scheduler refreshing a sidecar per completion) each write their own
-    ``*.tmp.<pid>`` and rename into place, so readers never see a torn
-    or interleaved document — the same convention the result cache
-    uses.
+    Concurrent writers (two engines or servers sharing a store, or
+    threads of one process) each write their own
+    ``*.tmp.<pid>.<thread>`` and rename into place, so readers never
+    see a torn or interleaved document and no writer renames another's
+    half-written file.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".tmp.{os.getpid()}")
+    tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
     tmp.write_text(
         json.dumps(record, sort_keys=True, indent=2), encoding="utf-8"
     )
@@ -147,7 +148,7 @@ class StoreReader:
         """Serialize one run's stats record next to the store.
 
         Crash-safe under concurrent writers: the record lands via
-        per-pid tmp file + atomic rename (:func:`write_json_atomic`),
+        per-writer tmp file + atomic rename (:func:`write_json_atomic`),
         so two engines sharing a store can never interleave sidecar
         bytes, and a killed writer leaves at worst a stale ``*.tmp.*``
         file — never a torn sidecar.

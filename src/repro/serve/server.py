@@ -24,11 +24,11 @@ no matter how many clients ask for it concurrently:
    clock starts when the job is handed to the pool, not when it was
    admitted, and a timed-out worker forces a pool restart.
 
-Completions persist exactly like engine runs do — cache entry, sharded
-store record, refreshed ``.stats`` sidecar — and emit one
-``job_finished`` event through the fan-out to every ``/events``
-subscriber.  Reports are byte-identical to CLI runs of the same
-request: workers execute the same ``execute_request`` path and
+Completions persist exactly like engine runs do — a cache entry and a
+sharded store record per job, one ``.stats`` sidecar when the run ends
+— and emit one ``job_finished`` event through the fan-out to every
+``/events`` subscriber.  Reports are byte-identical to CLI runs of the
+same request: workers execute the same ``execute_request`` path and
 serialize with the same canonical encoder.
 """
 
@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import threading
 import time
 from collections import deque
@@ -112,9 +113,6 @@ class ServeConfig:
     #: (their durable copies — store record, cache entry — survive, so
     #: ``/result`` still answers for evicted hashes via the disk cache)
     max_done_jobs: int = 1024
-    #: refresh the ``.stats`` sidecar every N completions (plus once at
-    #: the first completion and once at shutdown)
-    stats_every: int = 16
 
 
 class ServeApp:
@@ -157,7 +155,6 @@ class ServeApp:
         self._slots = asyncio.Semaphore(self.config.workers)
         self._done_order: "deque[str]" = deque()
         self._active_count = 0
-        self._recorded = 0
         self._job_index = 0
         self._started_at = time.monotonic()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -346,9 +343,23 @@ class ServeApp:
             )
         except RuntimeError:  # pragma: no cover - already closed
             pass
-        self._write_stats()
-        self.fanout.close()
-        self.pool.shutdown(wait=False)
+        # the run's one sidecar, written when it ends as an engine
+        # run's is; until then (or if this write fails) `engine stats`
+        # and `engine check` recompute the run from its store records
+        try:
+            if self.store is not None and self._stats_acc.n_jobs:
+                stats = self._stats_acc.snapshot(
+                    duration_s=time.monotonic() - self._started_at,
+                )
+                self.store.write_stats(self.run_id, stats.to_dict())
+        except OSError as exc:
+            print(
+                f"repro serve: stats sidecar not written: {exc}",
+                file=sys.stderr,
+            )
+        finally:
+            self.fanout.close()
+            self.pool.shutdown(wait=False)
 
     def request_shutdown(self) -> None:
         """Ask the server to stop; safe to call from any thread."""
@@ -836,17 +847,10 @@ class ServeApp:
         self._stats_acc.add(result)
         if telemetry.enabled():
             self._m_jobs.labels(status=job.status or "failed").inc()
-        self._recorded += 1
         self._done_order.append(job.request_hash)
         self._evict_done()
         if self.store is not None:
             self.store.append(make_record(self.run_id, result))
-            # refresh the sidecar on the first completion and then
-            # every stats_every-th (plus once at shutdown) — rewriting
-            # it per completion is O(n²) over a server's lifetime
-            every = max(1, self.config.stats_every)
-            if every == 1 or self._recorded % every == 1:
-                self._write_stats()
         try:
             self.fanout.emit(
                 "job_finished",
@@ -876,14 +880,6 @@ class ServeApp:
             job = self.jobs.get(request_hash)
             if job is not None and job.done:
                 del self.jobs[request_hash]
-
-    def _write_stats(self) -> None:
-        if self.store is None or not self._stats_acc.n_jobs:
-            return
-        stats = self._stats_acc.snapshot(
-            duration_s=time.monotonic() - self._started_at,
-        )
-        self.store.write_stats(self.run_id, stats.to_dict())
 
     # -- results + streaming --------------------------------------------
     async def _result(self, writer, request_hash: str, query) -> None:

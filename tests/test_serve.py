@@ -538,7 +538,7 @@ class TestEphemeralPortAnnounce:
 
 
 class TestPersistence:
-    def test_sharded_store_and_sidecar_written(self, server):
+    def test_sharded_store_written(self, server):
         host, port, tmp = server
         ServeClient(host, port).submit(SMALL)
         shards = sorted((tmp / "runs" / "shards").glob("*.jsonl"))
@@ -553,11 +553,6 @@ class TestPersistence:
                     assert shard.name == f"{prefix}.jsonl"
         run_id = ServeClient(host, port).health()["run_id"]
         assert all(r["run_id"] == run_id for r in records)
-        sidecar = tmp / "runs" / "stats" / f"{run_id}.json"
-        assert sidecar.is_file()
-        stats = json.loads(sidecar.read_text())
-        assert stats["jobs"]
-        assert stats["workers"] == 2
 
     def test_store_readable_by_engine_cli_layer(self, server):
         host, port, tmp = server
@@ -568,6 +563,77 @@ class TestPersistence:
         records = store.run_records(run_id)
         assert records
         assert all(r["report"] is not None for r in records if r["status"] == "ok")
+
+
+def _engine_stats_json(store, capsys) -> dict:
+    """``repro engine stats latest --json`` on ``store``, parsed."""
+    from repro.cli import main
+
+    capsys.readouterr()
+    assert main(
+        ["engine", "stats", "latest", "--store", str(store), "--json"]
+    ) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+class TestStatsSidecar:
+    """A server run gets one stats sidecar, written at shutdown like an
+    engine run's; until then ``engine stats`` reads it from records."""
+
+    def test_written_once_at_shutdown(self, tmp_path, monkeypatch, capsys):
+        from repro.engine.shards import ShardedRunStore
+
+        calls = []
+        write_stats = ShardedRunStore.write_stats
+
+        def counted(self, run_id, record):
+            calls.append(run_id)
+            return write_stats(self, run_id, record)
+
+        monkeypatch.setattr(ShardedRunStore, "write_stats", counted)
+        store = tmp_path / "runs"
+        thread = ServerThread(
+            ServeConfig(port=0, workers=2, store=str(store), timeout=120)
+        )
+        with thread as (host, port):
+            client = ServeClient(host, port)
+            for i in range(40):
+                payload = client.submit(small_request(i))
+                assert payload["job"]["status"] == "ok"
+                if i == 19:
+                    # a live server's run: exact counts from its records
+                    live = _engine_stats_json(store, capsys)
+                    assert live["n_jobs"] == 20
+                    assert live["workers"] is None
+                    assert not list(store.glob("stats/*.json"))
+            assert calls == []
+        run_id = thread.app.run_id
+        assert calls == [run_id]
+        sidecar = json.loads((store / "stats" / f"{run_id}.json").read_text())
+        assert sidecar["n_jobs"] == 40
+        assert sidecar["workers"] == 2
+        assert sidecar["jobs"]
+
+    def test_failed_write_still_shuts_down(self, tmp_path, capsys):
+        store = tmp_path / "runs"
+        thread = ServerThread(
+            ServeConfig(port=0, workers=2, store=str(store), timeout=120)
+        )
+
+        def full_disk(run_id, record):
+            raise OSError(28, "No space left on device")
+
+        thread.app.store.write_stats = full_disk
+        with thread as (host, port):
+            payload = ServeClient(host, port).submit(SMALL)
+            assert payload["job"]["status"] == "ok"
+        assert not thread._thread.is_alive()
+        assert "stats sidecar not written" in capsys.readouterr().err
+        with pytest.raises(RuntimeError, match="shut down"):
+            thread.app.pool.submit(RunRequest.from_dict(SMALL))
+        with pytest.raises(RuntimeError, match="closed"):
+            thread.app.fanout.emit("run_finished", run_id=thread.app.run_id)
+        assert _engine_stats_json(store, capsys)["n_jobs"] == 1
 
 
 class TestWarmPoolThroughput:

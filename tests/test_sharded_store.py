@@ -171,6 +171,42 @@ class TestAtomicWrites:
         write_json_atomic(target, {"v": 2})
         assert json.loads(target.read_text()) == {"v": 2}
 
+    def test_concurrent_threads_of_one_process(self, tmp_path):
+        # threads share a pid, so a per-pid tmp name alone lets one
+        # thread's rename steal another's tmp file (FileNotFoundError)
+        import sys
+        import threading
+
+        target = tmp_path / "stats.json"
+        barrier = threading.Barrier(8)
+        errors = []
+
+        def write_many(writer: int) -> None:
+            barrier.wait(timeout=30)
+            for i in range(50):
+                try:
+                    write_json_atomic(target, {"writer": writer, "i": i})
+                except OSError as exc:
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=write_many, args=(w,))
+                for w in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert json.loads(target.read_text())["i"] == 49
+        assert list(tmp_path.glob("*.tmp.*")) == []
+
 
 def _append_worker(root: str, writer: int, count: int) -> None:
     store = ShardedRunStore(root)
