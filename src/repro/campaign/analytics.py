@@ -306,10 +306,10 @@ def campaign_diff(
     (fatal under ``strict``).  Returns a
     :class:`~repro.engine.stats.CheckReport`.
     """
-    from repro.engine.stats import _benchmark_metrics, compare_benchmarks
+    from repro.engine.stats import compare_benchmarks, stats_from_records
 
-    baseline = _benchmark_metrics(store.run_records(run_a))
-    current = _benchmark_metrics(store.run_records(run_b))
+    baseline = stats_from_records(store.run_records(run_a)).benchmarks
+    current = stats_from_records(store.run_records(run_b)).benchmarks
     return compare_benchmarks(
         current, baseline, tolerance_pct, strict=strict
     )

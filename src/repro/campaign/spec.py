@@ -36,8 +36,8 @@ Each group expands to its full cartesian product (via
 concatenation of all groups with duplicates dropped by request content
 hash, so overlapping groups cost nothing.  Plan order is group order —
 the *first* group's points keep their bare benchmark keys in
-``keyed_by_benchmark``, which is how a campaign's trajectory point
-stays comparable to plain suite baselines.
+``keyed_by_benchmark``, which is how a campaign run stays comparable
+to plain suite baselines under ``engine check``.
 """
 
 from __future__ import annotations

@@ -494,10 +494,9 @@ def _cmd_engine_stats(args) -> int:
 
 
 def _cmd_engine_check(args) -> int:
-    import json as json_module
     from pathlib import Path
 
-    from repro.engine import compare_benchmarks, open_store, trajectory_point
+    from repro.engine import compare_benchmarks, open_store
     from repro.engine.stats import load_baseline_file
 
     if args.baseline is None and args.slo is None:
@@ -506,12 +505,6 @@ def _cmd_engine_check(args) -> int:
     if args.slo:
         slo_ok = _check_slo(args.slo, args.scrape)
     if args.baseline is None:
-        for flag, name in (
-            (args.gate_throughput, "--gate-throughput"),
-            (args.bench_out, "--bench-out"),
-        ):
-            if flag is not None:
-                raise SystemExit(f"engine check: {name} needs --baseline")
         return 0 if slo_ok else 1
 
     store = open_store(args.store)
@@ -527,55 +520,7 @@ def _cmd_engine_check(args) -> int:
         stats.benchmarks, baseline, args.tolerance, strict=args.strict
     )
     print(report.table())
-    throughput_ok = True
-    throughput_info = None
-    if args.gate_throughput is not None:
-        baseline_rate = None
-        if Path(args.baseline).is_file():
-            with open(args.baseline, encoding="utf-8") as fh:
-                doc = json_module.load(fh)
-            baseline_rate = doc.get("engine", {}).get("throughput_jobs_per_s")
-        else:
-            baseline_stats = _load_run_stats(store, args.baseline)
-            baseline_rate = baseline_stats.throughput_jobs_per_s
-        if not baseline_rate:
-            raise SystemExit(
-                f"--gate-throughput: baseline {args.baseline} has no "
-                "engine throughput to gate against"
-            )
-        floor = baseline_rate * (1.0 - args.gate_throughput / 100.0)
-        throughput_ok = stats.throughput_jobs_per_s >= floor
-        throughput_info = {
-            "jobs_per_s": stats.throughput_jobs_per_s,
-            "baseline_jobs_per_s": baseline_rate,
-            "max_regression_pct": args.gate_throughput,
-            "ok": throughput_ok,
-        }
-        print(
-            f"throughput: {stats.throughput_jobs_per_s:.1f} jobs/s vs "
-            f"baseline {baseline_rate:.1f} "
-            f"(floor {floor:.1f}, -{args.gate_throughput:g}%): "
-            f"{'ok' if throughput_ok else 'REGRESSED'}"
-        )
-    if args.bench_out:
-        point = trajectory_point(stats)
-        point["check"] = {
-            "baseline": args.baseline,
-            "tolerance_pct": args.tolerance,
-            "strict": args.strict,
-            "ok": report.ok,
-            "regressions": len(report.regressions),
-            "missing": report.missing,
-            "extra": report.extra,
-        }
-        if throughput_info is not None:
-            point["check"]["throughput"] = throughput_info
-        Path(args.bench_out).write_text(
-            json_module.dumps(point, sort_keys=True, indent=2) + "\n",
-            encoding="utf-8",
-        )
-        print(f"trajectory point written to {args.bench_out}")
-    return 0 if (report.ok and throughput_ok and slo_ok) else 1
+    return 0 if (report.ok and slo_ok) else 1
 
 
 def _check_slo(spec_path: str, scrape_path: Optional[str]) -> bool:
@@ -1655,8 +1600,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "--baseline", metavar="RUN|FILE",
         help="baseline: a run reference in the store, or a JSON file "
-        "(a --bench-out trajectory point or stats sidecar); optional "
-        "when --slo is given",
+        "with a 'benchmarks' map (e.g. `engine stats --json` output); "
+        "optional when --slo is given",
     )
     p_check.add_argument(
         "--slo", metavar="FILE",
@@ -1678,20 +1623,9 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"run store to read (default: {DEFAULT_STORE})",
     )
     p_check.add_argument(
-        "--bench-out", metavar="PATH",
-        help="write the run's BENCH-compatible trajectory point here",
-    )
-    p_check.add_argument(
         "--strict", action="store_true",
         help="also fail on benchmarks absent from the baseline "
         "(coverage drift), not just regressions",
-    )
-    p_check.add_argument(
-        "--gate-throughput", type=float, default=None, metavar="PCT",
-        help="also fail if the run's engine throughput (jobs/s) falls "
-        "more than PCT%% below the baseline's (the baseline must be a "
-        "trajectory point / stats document with an engine section, or "
-        "a run reference)",
     )
     p_check.set_defaults(fn=_cmd_engine_check)
 

@@ -57,7 +57,6 @@ from repro.engine.stats import (
     compare_benchmarks,
     stats_from_records,
     stats_from_results,
-    trajectory_point,
 )
 from repro.engine.store import (
     RunStore,
@@ -104,5 +103,4 @@ __all__ = [
     "stats_from_results",
     "sweep_from_results",
     "tier_sweep_requests",
-    "trajectory_point",
 ]

@@ -6,8 +6,7 @@ treatment.  A :class:`RunStats` record aggregates one engine
 invocation — throughput, per-job queue wait and compute time, worker
 utilization, cache hit rate, retry/timeout histograms and a wall-clock
 phase breakdown — and is serialized next to the run store
-(``<store>.stats/<run_id>.json``) so every later performance PR can be
-measured against it.
+(``<store>.stats/<run_id>.json``).
 
 Two consumers sit on top:
 
@@ -15,9 +14,9 @@ Two consumers sit on top:
   human table or JSON;
 * ``engine check <run> --baseline <run|file> --tolerance PCT``
   compares the per-benchmark §1.5 metrics of two runs (or a run
-  against a saved trajectory point) and exits non-zero on regression —
-  the perf gate.  :func:`trajectory_point` emits the
-  ``BENCH_*.json``-compatible record that ``--bench-out`` writes.
+  against a saved stats file) and exits non-zero on regression — the
+  metrics-drift gate.  Wall-clock speed is measured by the repo
+  benchmark (``bench/run.py``), not here.
 
 Stats are *metadata about the run*, never part of the deterministic
 reports: wall-clock numbers live only here, in the trace and in the
@@ -31,7 +30,7 @@ from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-#: Stats/trajectory schema version.  Version 2 adds per-job ``spans``
+#: Stats sidecar schema version.  Version 2 adds per-job ``spans``
 #: summaries (repro.obs).  Readers are tolerant: unknown keys from
 #: newer minor additions are dropped, missing keys take their
 #: defaults, and only a sidecar declaring a schema *newer* than this
@@ -299,126 +298,17 @@ def latency_histogram_lines(
     return lines
 
 
-def _aggregate(
-    run_id: str,
-    jobs: List[JobStats],
-    benchmarks: Dict[str, Dict[str, float]],
-    *,
-    workers: Optional[int],
-    duration_s: float,
-    phases: Optional[Mapping[str, float]] = None,
-) -> RunStats:
-    """Fold per-job stats into one :class:`RunStats`."""
-    status_counts: Dict[str, int] = {}
-    histogram: Dict[int, int] = {}
-    retries = 0
-    for job in jobs:
-        status_counts[job.status] = status_counts.get(job.status, 0) + 1
-        histogram[job.attempts] = histogram.get(job.attempts, 0) + 1
-        retries += max(0, job.attempts - 1)
-    waits = [job.queue_wait_s for job in jobs]
-    computes = [job.compute_time_s for job in jobs]
-    n = len(jobs)
-    cache_hits = status_counts.get("cached", 0)
-    compute_total = sum(computes)
-    utilization = None
-    if workers is not None and duration_s > 0:
-        utilization = compute_total / (workers * duration_s)
-    return RunStats(
-        run_id=run_id,
-        n_jobs=n,
-        workers=workers,
-        duration_s=duration_s,
-        status_counts=status_counts,
-        cache_hits=cache_hits,
-        cache_hit_rate=cache_hits / n if n else 0.0,
-        retries=retries,
-        timeouts=status_counts.get("timeout", 0),
-        attempts_histogram=histogram,
-        throughput_jobs_per_s=n / duration_s if duration_s > 0 else 0.0,
-        queue_wait_total_s=sum(waits),
-        queue_wait_mean_s=sum(waits) / n if n else 0.0,
-        queue_wait_max_s=max(waits) if waits else 0.0,
-        compute_total_s=compute_total,
-        compute_mean_s=compute_total / n if n else 0.0,
-        compute_max_s=max(computes) if computes else 0.0,
-        worker_utilization=utilization,
-        phases=dict(phases or {}),
-        jobs=jobs,
-        benchmarks=benchmarks,
-    )
-
-
-def _benchmark_metrics(records: Sequence[Mapping]) -> Dict[str, Dict[str, float]]:
-    """Per-benchmark §1.5 metric map of one run's record list.
-
-    Only records carrying a report contribute (failed/timed-out jobs
-    have none — their benchmarks then surface as *missing* in a check
-    against a baseline that had them).
-    """
-    from repro.engine.store import keyed_by_benchmark
-
-    out: Dict[str, Dict[str, float]] = {}
-    for key, record in keyed_by_benchmark(list(records)).items():
-        report = record.get("report") or {}
-        metrics = {
-            metric: report[metric]
-            for metric, _, _ in CHECK_METRICS
-            if report.get(metric) is not None
-        }
-        if metrics:
-            out[key] = metrics
-    return out
-
-
-def stats_from_results(
-    run_id: str,
-    results: Sequence,
-    *,
-    workers: Optional[int],
-    duration_s: float,
-    phases: Optional[Mapping[str, float]] = None,
-) -> RunStats:
-    """Build stats from in-memory :class:`RunResult` s (engine path)."""
-    jobs = [
-        JobStats(
-            benchmark=result.request.benchmark,
-            status=result.status,
-            attempts=result.attempts,
-            queue_wait_s=result.queue_wait_s,
-            compute_time_s=result.compute_time_s,
-            wall_time_s=result.wall_time_s,
-            spans=getattr(result, "spans", None),
-        )
-        for result in results
-    ]
-    pseudo_records = [
-        {"benchmark": r.request.benchmark, "report": r.report_record}
-        for r in results
-    ]
-    return _aggregate(
-        run_id,
-        jobs,
-        _benchmark_metrics(pseudo_records),
-        workers=workers,
-        duration_s=duration_s,
-        phases=phases,
-    )
-
-
 class StatsAccumulator:
-    """Fold results into a :class:`RunStats` one at a time, bounded.
+    """Fold jobs into a :class:`RunStats` one at a time.
 
-    :func:`stats_from_results` needs every result of the run at once,
-    which is fine for a batch engine run but would keep every
-    :class:`RunResult` (report dictionaries included) of a long-lived
-    server alive until shutdown.  The accumulator folds each result
-    exactly once into running aggregates and retains only the newest
-    ``keep_jobs`` per-job rows for the sidecar table; the server calls
-    :meth:`snapshot` once, at shutdown, for its run's one sidecar.  The
-    snapshot's aggregate fields match ``stats_from_results`` over
-    everything ever added (the ``jobs`` list is the only truncated
-    field).
+    The one aggregation path behind every :class:`RunStats`: an engine
+    run folds its results when it ends (:func:`stats_from_results`),
+    a stored run folds its records (:func:`stats_from_records`), and a
+    long-lived server folds each result as it completes and calls
+    :meth:`snapshot` once, at shutdown, for its run's one sidecar.
+    ``keep_jobs`` bounds the per-job rows kept for the sidecar table to
+    the newest ones (None keeps all), so a server does not hold every
+    job until shutdown; every aggregate covers everything added.
     """
 
     def __init__(
@@ -426,7 +316,7 @@ class StatsAccumulator:
         run_id: str,
         *,
         workers: Optional[int] = None,
-        keep_jobs: int = 256,
+        keep_jobs: Optional[int] = 256,
     ) -> None:
         self.run_id = run_id
         self.workers = workers
@@ -440,19 +330,27 @@ class StatsAccumulator:
         self.compute_max_s = 0.0
         self.benchmarks: Dict[str, Dict[str, float]] = {}
         self._bench_counts: Dict[str, int] = {}
-        self.jobs: "deque[JobStats]" = deque(maxlen=max(0, keep_jobs))
+        self.jobs: "deque[JobStats]" = deque(
+            maxlen=None if keep_jobs is None else max(0, keep_jobs)
+        )
 
     def add(self, result) -> None:
         """Fold one :class:`RunResult` into the aggregates."""
-        job = JobStats(
-            benchmark=result.request.benchmark,
-            status=result.status,
-            attempts=result.attempts,
-            queue_wait_s=result.queue_wait_s,
-            compute_time_s=result.compute_time_s,
-            wall_time_s=result.wall_time_s,
-            spans=getattr(result, "spans", None),
+        self.add_job(
+            JobStats(
+                benchmark=result.request.benchmark,
+                status=result.status,
+                attempts=result.attempts,
+                queue_wait_s=result.queue_wait_s,
+                compute_time_s=result.compute_time_s,
+                wall_time_s=result.wall_time_s,
+                spans=getattr(result, "spans", None),
+            ),
+            result.report_record,
         )
+
+    def add_job(self, job: JobStats, report: Optional[Mapping]) -> None:
+        """Fold one job and its report record (None: the job has none)."""
         self.n_jobs += 1
         self.status_counts[job.status] = (
             self.status_counts.get(job.status, 0) + 1
@@ -466,12 +364,14 @@ class StatsAccumulator:
         self.compute_total_s += job.compute_time_s
         self.compute_max_s = max(self.compute_max_s, job.compute_time_s)
         self.jobs.append(job)
-        # incremental _benchmark_metrics: same name / name#N keying as
-        # keyed_by_benchmark, counting every record but storing only
-        # those that carry a report
+        # per-benchmark §1.5 metrics, keyed name / name#N like
+        # keyed_by_benchmark: every job counts toward the suffix, only
+        # jobs with a report contribute (failed and timed-out jobs then
+        # surface as *missing* in a check against a baseline that had
+        # them)
         seen = self._bench_counts.get(job.benchmark, 0)
         self._bench_counts[job.benchmark] = seen + 1
-        report = result.report_record or {}
+        report = report or {}
         metrics = {
             metric: report[metric]
             for metric, _, _ in CHECK_METRICS
@@ -518,6 +418,21 @@ class StatsAccumulator:
         )
 
 
+def stats_from_results(
+    run_id: str,
+    results: Sequence,
+    *,
+    workers: Optional[int],
+    duration_s: float,
+    phases: Optional[Mapping[str, float]] = None,
+) -> RunStats:
+    """Build stats from in-memory :class:`RunResult` s (engine path)."""
+    acc = StatsAccumulator(run_id, workers=workers, keep_jobs=None)
+    for result in results:
+        acc.add(result)
+    return acc.snapshot(duration_s=duration_s, phases=phases)
+
+
 def stats_from_records(
     records: Sequence[Mapping],
     *,
@@ -533,21 +448,6 @@ def stats_from_records(
     given.
     """
     records = list(records)
-    jobs = [
-        JobStats(
-            benchmark=record.get("benchmark", "?"),
-            status=record.get("status", "?"),
-            attempts=record.get("attempts", 0),
-            queue_wait_s=record.get("queue_wait_s", 0.0) or 0.0,
-            compute_time_s=(
-                record.get("compute_time_s")
-                or record.get("wall_time_s", 0.0)
-                or 0.0
-            ),
-            wall_time_s=record.get("wall_time_s", 0.0) or 0.0,
-        )
-        for record in records
-    ]
     if duration_s is None:
         stamps = [r["ts"] for r in records if r.get("ts") is not None]
         duration_s = max(stamps) - min(stamps) if len(stamps) > 1 else 0.0
@@ -555,14 +455,28 @@ def stats_from_records(
             first = min(records, key=lambda r: r.get("ts") or 0.0)
             duration_s += first.get("wall_time_s", 0.0) or 0.0
     run_ids = {r.get("run_id") for r in records if r.get("run_id")}
-    run_id = run_ids.pop() if len(run_ids) == 1 else "?"
-    return _aggregate(
-        run_id,
-        jobs,
-        _benchmark_metrics(records),
+    acc = StatsAccumulator(
+        run_ids.pop() if len(run_ids) == 1 else "?",
         workers=workers,
-        duration_s=duration_s,
+        keep_jobs=None,
     )
+    for record in records:
+        acc.add_job(
+            JobStats(
+                benchmark=record.get("benchmark", "?"),
+                status=record.get("status", "?"),
+                attempts=record.get("attempts", 0),
+                queue_wait_s=record.get("queue_wait_s", 0.0) or 0.0,
+                compute_time_s=(
+                    record.get("compute_time_s")
+                    or record.get("wall_time_s", 0.0)
+                    or 0.0
+                ),
+                wall_time_s=record.get("wall_time_s", 0.0) or 0.0,
+            ),
+            record.get("report"),
+        )
+    return acc.snapshot(duration_s=duration_s)
 
 
 # -- perf-regression gate ----------------------------------------------
@@ -594,11 +508,6 @@ class CheckReport:
     #: when True, ``extra`` benchmarks fail the gate too — a strict
     #: check demands the run and baseline cover the same set
     strict: bool = False
-
-    @property
-    def added(self) -> List[str]:
-        """Backward-compatible alias of :attr:`extra`."""
-        return self.extra
 
     @property
     def regressions(self) -> List[CheckRow]:
@@ -716,40 +625,14 @@ def compare_benchmarks(
     return report
 
 
-def trajectory_point(stats: RunStats) -> Dict:
-    """A ``BENCH_*.json``-compatible trajectory point of one run.
-
-    The point pairs the gated per-benchmark §1.5 metrics with the
-    engine-level numbers, so a sequence of points (one per PR/commit)
-    charts both simulation and scheduler performance over time.  A
-    point is itself a valid ``engine check --baseline`` file.
-    """
-    return {
-        "schema": STATS_SCHEMA_VERSION,
-        "kind": "bench",
-        "run_id": stats.run_id,
-        "benchmarks": {
-            name: dict(metrics) for name, metrics in stats.benchmarks.items()
-        },
-        "engine": {
-            "n_jobs": stats.n_jobs,
-            "workers": stats.workers,
-            "duration_s": stats.duration_s,
-            "throughput_jobs_per_s": stats.throughput_jobs_per_s,
-            "cache_hit_rate": stats.cache_hit_rate,
-            "worker_utilization": stats.worker_utilization,
-            "retries": stats.retries,
-            "timeouts": stats.timeouts,
-            "status_counts": dict(stats.status_counts),
-        },
-    }
-
-
 def baseline_benchmarks(obj: Mapping) -> Dict[str, Dict[str, float]]:
     """Extract the per-benchmark metric map from any baseline document.
 
-    Accepts a trajectory point, a serialized :class:`RunStats`, or a
-    bare ``{benchmark: {metric: value}}`` mapping.
+    Accepts a serialized :class:`RunStats` (a stats sidecar or
+    ``engine stats --json`` output), any other document with a
+    ``benchmarks`` map (such as the ``"kind": "bench"`` file
+    ``benchmarks/baselines/seed_suite_bench.json``), or a bare
+    ``{benchmark: {metric: value}}`` mapping.
     """
     if "benchmarks" in obj and isinstance(obj["benchmarks"], Mapping):
         return {k: dict(v) for k, v in obj["benchmarks"].items()}

@@ -103,8 +103,6 @@ class ServeConfig:
     timeout: Optional[float] = None
     retries: int = 0
     backoff: float = 0.1
-    #: collect worker span summaries into payloads/events/sidecar
-    spans: bool = True
     #: pre-spawn and pre-import workers before accepting requests
     warmup: bool = True
     #: enforce the cache byte budget every N executions
@@ -717,9 +715,12 @@ class ServeApp:
                     break
                 started = time.monotonic()
                 try:
+                    # workers always return a span summary: it rides in
+                    # the job payload, the job_finished event and the
+                    # stats sidecar
                     payload = await asyncio.wait_for(
                         self.pool.submit_async(
-                            job.request, attempt=attempt, spans=config.spans
+                            job.request, attempt=attempt, spans=True
                         ),
                         config.timeout,
                     )

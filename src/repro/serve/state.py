@@ -46,7 +46,7 @@ class Job:
     error: str = ""
     #: canonical report JSON dict (identical to a CLI run of the request)
     report_record: Optional[Dict] = None
-    #: worker span summary when span collection is on
+    #: worker span summary (executed jobs; cache hits have none)
     spans: Optional[Dict] = None
     #: submission order on this server instance
     index: int = 0

