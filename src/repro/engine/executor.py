@@ -151,8 +151,9 @@ class RunResult:
     queue_wait_s: float = 0.0
     #: seconds a worker spent on this job, summed over attempts
     compute_time_s: float = 0.0
-    #: span summary from the worker's SpanCollector (span collection
-    #: on), forwarded into the run's ``.stats`` sidecar
+    #: span summary of the job's recorder (span collection on; see
+    #: :func:`repro.obs.span_summary`), forwarded into the ``.stats``
+    #: sidecar
     spans: Optional[Dict] = None
 
     @property
@@ -204,7 +205,7 @@ class EngineConfig:
 
     @property
     def collect_spans(self) -> bool:
-        """Whether jobs run with a span collector attached."""
+        """Whether each job's result carries a span summary."""
         return self.spans or self.stream is not None
 
 
@@ -481,18 +482,16 @@ class Engine:
             while True:
                 attempt += 1
                 self.tracer.emit("job_started", request, attempt=attempt)
-                collector = None
-                if self.config.collect_spans:
-                    from repro.obs import SpanCollector
-
-                    collector = SpanCollector()
                 start = time.perf_counter()
                 queue_wait += max(0.0, start - ready_at)
                 try:
                     _apply_test_hooks(request.benchmark, attempt)
-                    report = execute_request(
-                        request, session_factory, observer=collector
+                    session = (
+                        session_factory()
+                        if session_factory is not None
+                        else request.build_session()
                     )
+                    report = execute_request(request, lambda: session)
                 except Exception as exc:
                     if self.config.raise_on_error:
                         raise
@@ -531,8 +530,10 @@ class Engine:
                         queue_wait=queue_wait,
                         compute=compute,
                     )
-                    if collector is not None:
-                        result.spans = collector.finalize().summary()
+                    if self.config.collect_spans:
+                        from repro.obs import span_summary
+
+                        result.spans = span_summary(session.recorder)
                 results[index] = result
                 self._finish(request, result)
                 break

@@ -215,7 +215,11 @@ def execute_request(
 
     ``observer`` (e.g. a :class:`repro.obs.SpanCollector`) is attached
     to the session's recorder before the benchmark runs.  Observers are
-    read-only: the report is byte-identical with or without one.
+    read-only: the report is byte-identical with or without one, but an
+    attached observer turns the charge buffer off.  The engine and
+    ``repro serve`` attach none: they pass their own session through
+    ``session_factory`` and summarize its recorder afterwards with
+    :func:`repro.obs.span_summary`.
     """
     from repro.suite.runner import run_benchmark
 

@@ -105,28 +105,26 @@ def _worker_run(payload: Dict) -> Dict:
     Takes and returns only JSON-safe dictionaries so the engine's
     parallel and serial paths share one serialization (and the pickle
     crossing stays trivial).  When the payload asks for spans, the
-    worker attaches a :class:`repro.obs.SpanCollector` and forwards its
-    compact summary — the report itself is unaffected (observers are
-    read-only).
+    worker forwards :func:`repro.obs.span_summary` of its finished
+    session's recorder.  No collector is attached, so the charge buffer
+    stays engaged and the report is the same with or without spans.
     """
     from repro.engine.jobs import execute_request
     from repro.metrics.serialize import report_to_dict
 
     request = RunRequest.from_dict(payload["request"])
     _apply_test_hooks(request.benchmark, payload["attempt"])
-    collector = None
-    if payload.get("spans"):
-        from repro.obs import SpanCollector
-
-        collector = SpanCollector()
     start = time.perf_counter()
-    report = execute_request(request, observer=collector)
+    session = request.build_session()
+    report = execute_request(request, lambda: session)
     result = {
         "report": report_to_dict(report),
         "compute_time_s": time.perf_counter() - start,
     }
-    if collector is not None:
-        result["spans"] = collector.finalize().summary()
+    if payload.get("spans"):
+        from repro.obs import span_summary
+
+        result["spans"] = span_summary(session.recorder)
     if payload.get("telemetry"):
         # ship this worker's wall-clock metrics home with the result:
         # drain (snapshot + reset) the charge-buffer namespace of the
@@ -196,7 +194,8 @@ class WorkerPool:
     scheduler, and shut it down when the process exits.  Submissions
     return :class:`concurrent.futures.Future` objects resolving to the
     worker payload dictionary (``report``, ``compute_time_s``, and
-    optionally ``spans``); :meth:`submit_async` bridges the same future
+    optionally ``spans``, the :func:`repro.obs.span_summary` of the
+    worker's recorder); :meth:`submit_async` bridges the same future
     into asyncio for the serve layer.
 
     ``restart()`` abandons the current executor (stuck workers and all)

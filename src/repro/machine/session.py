@@ -32,7 +32,7 @@ ChargeStep = Tuple[FlopKind, int, bool]
 #: Shared no-op context manager returned by :meth:`Session.iteration`
 #: when no span observer is attached.  ``contextlib.nullcontext`` is
 #: stateless, so one instance serves every unobserved iteration without
-#: allocating — the marker costs one attribute load and a None check.
+#: allocating — the marker costs a counter bump and a None check.
 _NULL_SPAN: ContextManager[None] = nullcontext()
 
 
@@ -84,15 +84,16 @@ class Session:
             yield r
 
     def iteration(self, index: Optional[int] = None) -> ContextManager[None]:
-        """Mark one main-loop iteration for the span observer.
+        """Mark one main-loop iteration.
 
-        A pure tracing annotation: with no observer attached this
-        returns a shared no-op context manager (no allocation, no
-        recorder activity); with a :class:`repro.obs.SpanCollector`
+        Bumps the innermost region's ``marked_iterations`` counter,
+        which the span summary (:func:`repro.obs.span_summary`) reads.
+        With no observer attached this returns a shared no-op context
+        manager (no allocation); with a :class:`repro.obs.SpanCollector`
         attached, the ``with`` body becomes an ``iteration`` span nested
-        under the enclosing region's span.  Iteration spans exist only
-        in the collector — they never create recorder regions, so
-        reports are identical whether or not iterations are marked.
+        under the enclosing region's span.  Markers never create
+        recorder regions or touch any charged quantity, so reports are
+        identical whether or not iterations are marked.
 
         Use inside a ``with session.region(...)`` block::
 
@@ -101,7 +102,9 @@ class Session:
                     with session.iteration(step):
                         ...
         """
-        obs = self.recorder.observer
+        recorder = self.recorder
+        recorder.current.marked_iterations += 1
+        obs = recorder.observer
         if obs is None:
             return _NULL_SPAN
         return obs.iteration(index)

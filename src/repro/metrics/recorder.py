@@ -189,6 +189,11 @@ class Region:
         self._comm_idle = 0.0
         self._bytes_network = 0
         self._bytes_local = 0
+        #: how often ``MetricsRecorder.region`` entered this region, and
+        #: how many ``Session.iteration`` markers ran while it was the
+        #: innermost one (the span summary's ``spans``/``iterations``)
+        self.entries = 0
+        self.marked_iterations = 0
 
     # -- recording -------------------------------------------------------
     def add_comm(
@@ -486,6 +491,7 @@ class MetricsRecorder:
                 name, iterations, detail_events=self.detail_events
             )
             parent.children.append(region)
+        region.entries += 1
         self._stack.append(region)
         self._refresh_buffer_state()
         obs = self.observer

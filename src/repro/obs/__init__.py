@@ -6,7 +6,9 @@ The observability spine of the reproduction (see docs/OBSERVABILITY.md):
   session as a read-only observer and rebuilds the run as hierarchical
   spans and timeline slices on the simulated clock, with totals that
   reconcile bit-exactly against the run's
-  :class:`~repro.metrics.report.PerfReport`;
+  :class:`~repro.metrics.report.PerfReport`; :func:`span_summary`
+  condenses a finished recorder into the per-job summary the engine
+  and ``repro serve`` forward;
 * :mod:`repro.obs.chrome` — Chrome trace-event JSON export
   (Perfetto-loadable), from live collectors or stored reports;
 * :mod:`repro.obs.profile` — text profile reports and folded-stack
@@ -44,6 +46,7 @@ from repro.obs.spans import (
     Slice,
     Span,
     SpanCollector,
+    span_summary,
 )
 from repro.obs.stream import (
     STREAM_EVENT_KINDS,
@@ -82,6 +85,7 @@ __all__ = [
     "read_stream",
     "read_stream_partial",
     "render_profile",
+    "span_summary",
     "validate_stream",
     "validate_chrome_trace",
     "write_chrome_trace",

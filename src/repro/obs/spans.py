@@ -23,6 +23,10 @@ Two invariants make the collector safe to attach anywhere:
   ``Region.busy_time`` / ``elapsed_time`` *bit-for-bit*, and FLOP/byte
   totals (integers) match exactly.
 
+The compact per-job summary the engine and ``repro serve`` forward,
+:func:`span_summary`, needs no collector: it reads the finished
+recorder's region tree, so workers run with the charge buffer engaged.
+
 Usage::
 
     collector = SpanCollector()
@@ -40,7 +44,7 @@ from typing import Dict, Iterator, List, Optional
 
 from repro.metrics.flops import FlopKind, flop_cost
 from repro.metrics.patterns import CommPattern
-from repro.metrics.recorder import Region
+from repro.metrics.recorder import MetricsRecorder, Region
 
 #: Slice categories — one Chrome-trace track each.
 CATEGORY_COMPUTE = "compute"
@@ -49,7 +53,8 @@ CATEGORY_COMM_IDLE = "comm-idle"
 CATEGORIES = (CATEGORY_COMPUTE, CATEGORY_COMM_BUSY, CATEGORY_COMM_IDLE)
 
 #: Span summary schema version (engine ``.stats`` sidecar payload).
-SPAN_SUMMARY_SCHEMA = 1
+#: Version 2 builds the summary from the recorder and drops ``slices``.
+SPAN_SUMMARY_SCHEMA = 2
 
 
 @dataclass
@@ -198,6 +203,7 @@ class SpanCollector:
         self._pending_flops = 0
         self._finalized = False
         self._session = None
+        self._recorder: Optional[MetricsRecorder] = None
 
     # -- lifecycle ------------------------------------------------------
     def attach(self, session) -> "SpanCollector":
@@ -219,6 +225,7 @@ class SpanCollector:
         self._mirror_stack = [mirror]
         recorder.observer = self
         self._session = session
+        self._recorder = recorder
         return self
 
     def detach(self) -> None:
@@ -438,48 +445,88 @@ class SpanCollector:
         }
 
     def summary(self) -> Dict[str, object]:
-        """Compact JSON-safe span summary (engine sidecar payload)."""
-        spans = list(self.root.walk())
-        region_paths = self._region_paths()
-        top = sorted(region_paths, key=lambda item: item[1].busy,
-                     reverse=True)
-        totals = self.totals()
-        return {
-            "schema": SPAN_SUMMARY_SCHEMA,
-            "spans": sum(1 for s in spans if s.kind == "region"),
-            "iterations": sum(1 for s in spans if s.kind == "iteration"),
-            "slices": len(self.slices),
-            "busy_time_s": totals["busy_time_s"],
-            "elapsed_time_s": totals["elapsed_time_s"],
-            "compute_time_s": totals["compute_time_s"],
-            "comm_busy_s": totals["comm_busy_s"],
-            "comm_idle_s": totals["comm_idle_s"],
-            "flop_count": totals["flop_count"],
-            "network_bytes": totals["network_bytes"],
-            "comm_count": totals["comm_count"],
-            "patterns": totals["patterns"],
-            "top_regions": [
-                {"path": path, "busy_s": mirror.busy, "flops": mirror.flops}
-                for path, mirror in top[:3]
-            ],
-        }
-
-    def _region_paths(self) -> List[tuple]:
-        """('/'-joined path, mirror) pairs, depth-first, root excluded."""
-        out: List[tuple] = []
-        root = self.root_mirror
-        if root is None:
-            return out
-
-        def visit(mirror: RegionMirror, prefix: str) -> None:
-            for child in mirror.children:
-                path = f"{prefix}/{child.name}" if prefix else child.name
-                out.append((path, child))
-                visit(child, path)
-
-        visit(root, "")
-        return out
+        """:func:`span_summary` of the recorder this collector observed."""
+        if self._recorder is None:
+            raise RuntimeError("collector was never attached to a session")
+        return span_summary(self._recorder)
 
     def region_paths(self) -> List[tuple]:
-        """Public view of ('/'-path, :class:`RegionMirror`) pairs."""
-        return self._region_paths()
+        """('/'-joined path, :class:`RegionMirror`) pairs, depth-first."""
+        if self.root_mirror is None:
+            return []
+        return _region_paths(self.root_mirror)
+
+
+def span_summary(recorder: MetricsRecorder) -> Dict[str, object]:
+    """Compact JSON-safe span summary of a finished run.
+
+    Built from the recorder's region tree alone, so it needs no
+    collector attached and leaves the charge buffer engaged.  Totals
+    are the same depth-first sums ``Region.busy_time`` /
+    ``elapsed_time`` use, so they equal the run's report and
+    :meth:`SpanCollector.totals` exactly.  Per-pattern ``busy_s`` /
+    ``idle_s`` fold each region's per-stream :class:`CommStats` sums,
+    while the collector folds charges in order, so those two may
+    differ from its ``totals()["patterns"]`` by float rounding (counts
+    and bytes are exact).  ``spans`` and ``iterations`` count region
+    entries and ``Session.iteration`` markers.
+    """
+    recorder.flush_charges()
+    root = recorder.root
+    regions = list(root.walk())
+    patterns: Dict[str, Dict[str, float]] = {}
+    for region in regions:
+        for stats in region.comm_stats.values():
+            agg = patterns.setdefault(
+                stats.pattern.value,
+                {"count": 0, "bytes_network": 0, "busy_s": 0.0, "idle_s": 0.0},
+            )
+            agg["count"] += stats.count
+            agg["bytes_network"] += stats.bytes_network
+            agg["busy_s"] += stats.busy_time
+            agg["idle_s"] += stats.idle_time
+    top = sorted(
+        _region_paths(root),
+        key=lambda item: item[1].compute_busy + item[1].comm_busy,
+        reverse=True,
+    )
+    return {
+        "schema": SPAN_SUMMARY_SCHEMA,
+        "spans": sum(r.entries for r in regions),
+        "iterations": sum(r.marked_iterations for r in regions),
+        "busy_time_s": root.busy_time,
+        "elapsed_time_s": root.elapsed_time,
+        "compute_time_s": sum(r.compute_busy for r in regions),
+        "comm_busy_s": sum(r.comm_busy for r in regions),
+        "comm_idle_s": sum(r.comm_idle for r in regions),
+        "flop_count": sum(r.flops.total for r in regions),
+        "network_bytes": root.network_bytes,
+        "comm_count": sum(r.comm_count for r in regions),
+        "patterns": patterns,
+        "top_regions": [
+            {
+                "path": path,
+                "busy_s": region.compute_busy + region.comm_busy,
+                "flops": region.flops.total,
+            }
+            for path, region in top[:3]
+        ],
+    }
+
+
+def _region_paths(root) -> List[tuple]:
+    """('/'-joined path, node) pairs of a region or mirror tree.
+
+    Depth-first, root excluded; works on :class:`Region` and
+    :class:`RegionMirror` alike (both carry ``name`` and ``children``).
+    """
+    out: List[tuple] = []
+
+    def visit(node, prefix: str) -> None:
+        for child in node.children:
+            path = f"{prefix}/{child.name}" if prefix else child.name
+            out.append((path, child))
+            visit(child, path)
+
+    visit(root, "")
+    return out

@@ -8,6 +8,9 @@ the registry:
 * the collector's totals reconcile with the :class:`PerfReport` of the
   same run *exactly* (``==`` on floats, not approximately): busy and
   elapsed seconds bit-for-bit, FLOP and byte counts as integers.
+
+A worker's span summary, built from its buffered recorder with no
+collector attached, equals the summary of the same run observed.
 """
 
 import json
@@ -15,7 +18,9 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.engine import Engine, EngineConfig, RunStore, plan_suite
+from repro.engine import Engine, EngineConfig, RunRequest, RunStore, plan_suite
+from repro.engine.jobs import execute_request
+from repro.engine.pool import _worker_run
 from repro.metrics.serialize import canonical_report_json, report_to_dict
 from repro.obs import (
     SPAN_SUMMARY_SCHEMA,
@@ -27,6 +32,7 @@ from repro.obs import (
     folded_stacks,
     read_stream,
     render_profile,
+    telemetry,
     validate_chrome_trace,
     write_chrome_trace,
     write_folded,
@@ -94,13 +100,73 @@ def test_adopters_emit_iteration_spans(name, extra):
 
 
 def test_iteration_marker_is_noop_without_collector():
-    """Session.iteration costs one None-check when nothing is attached."""
+    """Session.iteration allocates nothing when nothing is attached."""
     session = open_session()
     first = session.iteration(0)
     second = session.iteration(1)
     assert first is second  # the shared null context, no allocation
     with first:
         pass
+
+
+# ----------------------------------------------------------------------
+# Worker span summaries: from the finished recorder, buffer engaged
+# ----------------------------------------------------------------------
+SUMMARY_SCALARS = (
+    "busy_time_s",
+    "elapsed_time_s",
+    "compute_time_s",
+    "comm_busy_s",
+    "comm_idle_s",
+    "flop_count",
+    "network_bytes",
+    "comm_count",
+)
+
+
+def observer_disengages():
+    """Region transitions where an attached observer kept buffering off."""
+    counter = telemetry.get_registry().counter(
+        "repro_charge_disengaged_total",
+        "Region transitions where buffering could not engage.",
+        ["reason"],
+    )
+    return counter.labels(reason="observer").value
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_worker_summary_equals_observed_summary(name):
+    request = RunRequest(benchmark=name, params=SMALL_PARAMS.get(name, {}))
+    before = observer_disengages()
+    summary = _worker_run(
+        {"request": request.to_dict(), "attempt": 1, "spans": True}
+    )["spans"]
+    assert observer_disengages() == before, "worker attached an observer"
+
+    collector = SpanCollector()
+    execute_request(request, observer=collector)
+    collector.finalize()
+    # Buffered recorder == eager recorder, as far as the summary reads.
+    assert summary == collector.summary()
+    assert summary["schema"] == SPAN_SUMMARY_SCHEMA
+    assert "slices" not in summary
+
+    kinds = [s.kind for s in collector.root.walk()]
+    assert summary["spans"] == kinds.count("region")
+    assert summary["iterations"] == kinds.count("iteration")
+
+    totals = collector.totals()
+    for key in SUMMARY_SCALARS:
+        assert summary[key] == totals[key], key
+    assert summary["patterns"].keys() == totals["patterns"].keys()
+    for pattern, expected in totals["patterns"].items():
+        got = summary["patterns"][pattern]
+        assert got["count"] == expected["count"]
+        assert got["bytes_network"] == expected["bytes_network"]
+        # Per-stream sums fold in a different order than the collector's
+        # per-charge fold, so these two may differ by rounding.
+        for key in ("busy_s", "idle_s"):
+            assert got[key] == pytest.approx(expected[key], rel=1e-12, abs=0)
 
 
 # ----------------------------------------------------------------------
