@@ -352,15 +352,12 @@ def _count_ufunc(
 class _AuditRecorder(MetricsRecorder):
     """Recorder that mirrors every charge into the audit collector.
 
-    Charge buffering is disabled: the audit's note hooks fire inside
-    the overridden ``charge_*`` methods, and keeping the underlying
-    accounting eager guarantees the shadow counters and the recorder
-    state advance in lockstep — the audit sees buffered charge sites
-    (``ChargeBuffer`` users route through these same methods) without
-    ever racing a deferred flush.
+    The audit's note hooks fire inside the overridden ``charge_*``
+    methods, after the same eager accounting production runs, so the
+    shadow counters and the recorder state advance in lockstep.  Each
+    override notes its own charge once: the base ``charge_reduction``
+    does not route through ``charge_raw_flops``.
     """
-
-    buffer_charges = False
 
     def __init__(self, collector: _AuditCollector) -> None:
         super().__init__()

@@ -589,12 +589,7 @@ class Engine:
         config = self.config
         owned = self.pool is None
         try:
-            pool = self.pool or WorkerPool(
-                config.jobs,
-                telemetry=(
-                    telemetry.get_registry() if telemetry.enabled() else None
-                ),
-            )
+            pool = self.pool or WorkerPool(config.jobs)
         except Exception:  # pragma: no cover - restricted platforms
             self._run_serial(requests, indices, results, cache, None)
             return 1

@@ -106,8 +106,7 @@ def _worker_run(payload: Dict) -> Dict:
     parallel and serial paths share one serialization (and the pickle
     crossing stays trivial).  When the payload asks for spans, the
     worker forwards :func:`repro.obs.span_summary` of its finished
-    session's recorder.  No collector is attached, so the charge buffer
-    stays engaged and the report is the same with or without spans.
+    session's recorder; no collector is attached.
     """
     from repro.engine.jobs import execute_request
     from repro.metrics.serialize import report_to_dict
@@ -125,16 +124,6 @@ def _worker_run(payload: Dict) -> Dict:
         from repro.obs import span_summary
 
         result["spans"] = span_summary(session.recorder)
-    if payload.get("telemetry"):
-        # ship this worker's wall-clock metrics home with the result:
-        # drain (snapshot + reset) the charge-buffer namespace of the
-        # worker-process registry so the parent can merge it — counts
-        # ride the existing payload protocol, no extra IPC
-        from repro.obs import telemetry as _telemetry
-
-        shipped = _telemetry.get_registry().drain(prefix="repro_charge_")
-        if shipped:
-            result["telemetry"] = shipped
     return result
 
 
@@ -203,14 +192,10 @@ class WorkerPool:
     object itself stays valid across restarts.
     """
 
-    def __init__(self, workers: int = 1, *, telemetry=None) -> None:
+    def __init__(self, workers: int = 1) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        #: optional :class:`repro.obs.telemetry.MetricsRegistry`; when
-        #: set, workers drain their process-local metrics into each
-        #: result payload and done-callbacks merge them here
-        self.telemetry = telemetry
         self.process_based = _pool_supported()
         self._lock = threading.Lock()
         self._executor = None
@@ -337,7 +322,6 @@ class WorkerPool:
             "request": request.to_dict(),
             "attempt": attempt,
             "spans": spans,
-            "telemetry": self.telemetry is not None,
         }
         future = executor.submit(_worker_run, payload)
         benchmark = request.benchmark
@@ -350,9 +334,6 @@ class WorkerPool:
                 seconds = result.get("compute_time_s")
                 if seconds is not None:
                     self.note_compute(benchmark, seconds)
-                shipped = result.get("telemetry")
-                if shipped and self.telemetry is not None:
-                    self.telemetry.merge(shipped)
             except Exception:  # pragma: no cover - callback must not raise
                 pass
 
@@ -379,7 +360,6 @@ class WorkerPool:
                     "request": request.to_dict(),
                     "attempt": attempt,
                     "spans": spans,
-                    "telemetry": self.telemetry is not None,
                 }
                 for request, attempt in items
             ]
@@ -396,9 +376,6 @@ class WorkerPool:
                         continue
                     if member.get("compute_time_s") is not None:
                         self.note_compute(name, member["compute_time_s"])
-                    shipped = member.get("telemetry")
-                    if shipped and self.telemetry is not None:
-                        self.telemetry.merge(shipped)
             except Exception:  # pragma: no cover - callback must not raise
                 pass
 

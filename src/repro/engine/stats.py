@@ -59,7 +59,7 @@ class JobStats:
     queue_wait_s: float
     compute_time_s: float
     wall_time_s: float
-    #: span summary forwarded by the worker's SpanCollector (None when
+    #: span summary the worker built from its recorder (None when
     #: the run executed without span collection — pre-v2 sidecars too)
     spans: Optional[Dict] = None
 

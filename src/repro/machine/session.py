@@ -313,8 +313,7 @@ class Session:
             if len(self._comm_cache) < 4096:
                 self._comm_cache[key] = priced
         busy, idle = priced
-        recorder = self.recorder
-        result = recorder.charge_comm(
+        return self.recorder.charge_comm(
             pattern,
             bytes_network=bytes_network,
             bytes_local=bytes_local,
@@ -324,19 +323,6 @@ class Session:
             rank=rank,
             detail=detail,
         )
-        obs = recorder.observer
-        if obs is not None:
-            obs.on_comm(
-                recorder.current,
-                pattern,
-                bytes_network=bytes_network,
-                bytes_local=bytes_local,
-                busy_time=busy,
-                idle_time=idle,
-                rank=rank,
-                detail=detail,
-            )
-        return result
 
     # -- convenience -------------------------------------------------------
     @property

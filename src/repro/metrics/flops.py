@@ -20,9 +20,8 @@ regardless of the mask.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Tuple
 
 
 class FlopKind(str, Enum):
@@ -90,17 +89,19 @@ def flop_cost(kind: FlopKind, count: int = 1, *, complex_valued: bool = False) -
 class FlopCounter:
     """Accumulates FLOPs by :class:`FlopKind`.
 
-    The counter stores raw *operation* counts per kind; :attr:`total`
-    applies the DPF cost table.  Counters add like vectors, which lets
-    the recorder aggregate child regions into their parents.
+    The counter stores raw *operation* counts per ``(kind,
+    complex_valued)`` pair and applies the DPF cost table only when read
+    (:attr:`total`, :attr:`weighted_by_kind`).  Weighting on read is
+    exact: :func:`flop_cost` is linear in an integer count, so costing
+    a summed count equals summing per-charge costs.  Counters add like
+    vectors, which lets the recorder aggregate child regions into their
+    parents.
     """
 
-    __slots__ = ("_ops", "_weighted", "_weighted_ops")
+    __slots__ = ("_ops",)
 
     def __init__(self) -> None:
-        self._ops: Counter[FlopKind] = Counter()
-        self._weighted: int = 0
-        self._weighted_ops: Counter[FlopKind] = Counter()
+        self._ops: Dict[Tuple[FlopKind, bool], int] = {}
 
     def add(self, kind: FlopKind, count: int, *, complex_valued: bool = False) -> None:
         """Record ``count`` scalar operations of ``kind``."""
@@ -108,34 +109,40 @@ class FlopCounter:
             raise ValueError(f"operation count must be non-negative, got {count}")
         if count == 0:
             return
-        self._ops[kind] += count
-        cost = flop_cost(kind, count, complex_valued=complex_valued)
-        self._weighted += cost
-        self._weighted_ops[kind] += cost
+        key = (kind, complex_valued)
+        self._ops[key] = self._ops.get(key, 0) + count
 
     def add_raw(self, flops: int) -> None:
-        """Record pre-weighted FLOPs (used for reductions: ``N - 1``)."""
+        """Record pre-weighted FLOPs (used for reductions: ``N - 1``).
+
+        Counted as real additions, which cost one FLOP each.
+        """
         if flops < 0:
             raise ValueError(f"flop count must be non-negative, got {flops}")
-        self._ops[FlopKind.ADD] += flops
-        self._weighted += flops
-        self._weighted_ops[FlopKind.ADD] += flops
+        key = (FlopKind.ADD, False)
+        self._ops[key] = self._ops.get(key, 0) + flops
 
     def merge(self, other: "FlopCounter") -> None:
         """Fold another counter into this one."""
-        self._ops.update(other._ops)
-        self._weighted += other._weighted
-        self._weighted_ops.update(other._weighted_ops)
+        ops = self._ops
+        for key, count in other._ops.items():
+            ops[key] = ops.get(key, 0) + count
 
     @property
     def total(self) -> int:
         """Total FLOPs under the DPF cost conventions."""
-        return self._weighted
+        return sum(
+            flop_cost(kind, count, complex_valued=complex_valued)
+            for (kind, complex_valued), count in self._ops.items()
+        )
 
     @property
     def operations(self) -> Mapping[FlopKind, int]:
         """Raw operation counts by kind (not cost-weighted)."""
-        return dict(self._ops)
+        out: Dict[FlopKind, int] = {}
+        for (kind, _), count in self._ops.items():
+            out[kind] = out.get(kind, 0) + count
+        return out
 
     @property
     def weighted_by_kind(self) -> Mapping[FlopKind, int]:
@@ -146,27 +153,32 @@ class FlopCounter:
         reconcile with the DPF total — the invariant the campaign
         roofline report is built on.
         """
-        return dict(self._weighted_ops)
+        out: Dict[FlopKind, int] = {}
+        for (kind, complex_valued), count in self._ops.items():
+            out[kind] = out.get(kind, 0) + flop_cost(
+                kind, count, complex_valued=complex_valued
+            )
+        return out
 
     def copy(self) -> "FlopCounter":
         """Independent copy of this counter."""
         out = FlopCounter()
-        out._ops = Counter(self._ops)
-        out._weighted = self._weighted
-        out._weighted_ops = Counter(self._weighted_ops)
+        out._ops = dict(self._ops)
         return out
 
     def __bool__(self) -> bool:
-        return self._weighted > 0
+        return any(self._ops.values())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FlopCounter):
             return NotImplemented
-        return self._ops == other._ops and self._weighted == other._weighted
+        return self.operations == other.operations and self.total == other.total
 
     def __repr__(self) -> str:
-        parts = ", ".join(f"{k.value}={v}" for k, v in sorted(self._ops.items()))
-        return f"FlopCounter(total={self._weighted}, {parts})"
+        parts = ", ".join(
+            f"{k.value}={v}" for k, v in sorted(self.operations.items())
+        )
+        return f"FlopCounter(total={self.total}, {parts})"
 
 
 def reduction_flops(n_elements: int, n_results: int = 1) -> int:

@@ -24,6 +24,11 @@ bandwidth-bound portion of communication); elapsed time adds network
 latency and synchronization idle time, mirroring the paper's
 busy/elapsed dichotomy.
 
+Every charge lands in the innermost region as it is made; the region
+tree is the only place charged quantities add up.  FLOP charges stay
+cheap because :class:`~repro.metrics.flops.FlopCounter` stores raw
+operation counts and applies the cost table only when read.
+
 An optional :attr:`MetricsRecorder.observer` (duck-typed; see
 :class:`repro.obs.SpanCollector`) is notified of every region
 enter/exit, FLOP charge, compute charge and communication event.  All
@@ -35,59 +40,13 @@ byte-identical with and without a collector attached.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.metrics.chargebuffer import ChargeBuffer
 from repro.metrics.flops import FlopCounter, FlopKind, reduction_flops
 from repro.metrics.memory import MemoryLedger
 from repro.metrics.patterns import CommPattern
-
-#: Kill switch for batched charge accounting (``REPRO_CHARGE_BUFFER=0``
-#: forces every charge onto the eager per-call path).  Read once at
-#: import; tests toggle :attr:`MetricsRecorder.buffer_charges` instead.
-_BUFFER_ENABLED = os.environ.get("REPRO_CHARGE_BUFFER", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-)
-
-_CHARGE_METRICS: Optional[Dict] = None
-
-
-def _charge_metrics() -> Dict:
-    """Charge-buffer telemetry on the process-global registry.
-
-    Deferred import: :mod:`repro.obs` pulls in :mod:`repro.metrics`
-    modules, so a top-level import here would cycle.  Resolved once and
-    cached; these counters record wall-clock bookkeeping only and never
-    touch any simulated metric.
-    """
-    global _CHARGE_METRICS
-    if _CHARGE_METRICS is None:
-        from repro.obs import telemetry
-
-        registry = telemetry.get_registry()
-        _CHARGE_METRICS = {
-            "enabled": telemetry.enabled,
-            "flushes": registry.counter(
-                "repro_charge_flushes_total",
-                "Non-empty charge-buffer flushes.",
-            ),
-            "entries": registry.histogram(
-                "repro_charge_flush_entries",
-                "Buffered entries drained per non-empty flush.",
-                buckets=telemetry.SIZE_BUCKETS,
-            ),
-            "disengaged": registry.counter(
-                "repro_charge_disengaged_total",
-                "Region transitions where buffering could not engage.",
-                ["reason"],
-            ),
-        }
-    return _CHARGE_METRICS
 
 
 @dataclass(frozen=True)
@@ -238,27 +197,6 @@ class Region:
         self._events.append(event)
         return event
 
-    def record_comm(self, event: CommEvent) -> None:
-        """Account an already-built :class:`CommEvent`."""
-        key = (event.pattern, event.rank, event.detail)
-        stats = self.comm_stats.get(key)
-        if stats is None:
-            stats = self.comm_stats[key] = CommStats(
-                event.pattern, event.rank, event.detail
-            )
-        stats.count += 1
-        stats.bytes_network += event.bytes_network
-        stats.bytes_local += event.bytes_local
-        stats.busy_time += event.busy_time
-        stats.idle_time += event.idle_time
-        self._comm_count += 1
-        self._comm_busy += event.busy_time
-        self._comm_idle += event.idle_time
-        self._bytes_network += event.bytes_network
-        self._bytes_local += event.bytes_local
-        if self.detail_events:
-            self._events.append(event)
-
     # -- local (exclusive of children) ---------------------------------
     @property
     def comm_events(self) -> List[CommEvent]:
@@ -389,63 +327,10 @@ class MetricsRecorder:
     #: accounting, so attaching one leaves every metric bit-identical.
     observer: Optional[object] = None
 
-    #: Class-level opt-out for batched charge accounting.  When true
-    #: (the default unless ``REPRO_CHARGE_BUFFER=0``), charges made
-    #: inside regions are enqueued into a :class:`ChargeBuffer` and
-    #: flushed in aggregate at each region transition — bit-identical
-    #: to eager charging (see ``repro.metrics.chargebuffer``).  The
-    #: runtime sanitizer's audit recorder sets this to ``False``.
-    buffer_charges = _BUFFER_ENABLED
-
     def __post_init__(self) -> None:
         if self.detail_events:
             self.root.detail_events = True
         self._stack: List[Region] = [self.root]
-        self._buffer = ChargeBuffer()
-        #: the active buffer — ``None`` whenever charges must be eager
-        #: (root region, observer attached, trace mode, buffering off)
-        self._buf: Optional[ChargeBuffer] = None
-
-    def _refresh_buffer_state(self) -> None:
-        """Recompute whether charges should buffer, after any transition.
-
-        Buffering engages only inside regions (root-level charges stay
-        eager so ``charge → read`` sequences outside any region keep
-        their historical immediacy), with no observer attached (span
-        collectors must see every charge as it happens for ``repro.obs``
-        reconciliation to stay bit-exact) and outside trace mode.
-        """
-        if (
-            self.buffer_charges
-            and len(self._stack) > 1
-            and self.observer is None
-            and not self.detail_events
-        ):
-            self._buf = self._buffer
-        else:
-            self._buf = None
-            # inside a region, eager charging is a *disengage* worth
-            # counting (root-level eager is just normal operation)
-            if len(self._stack) > 1:
-                metrics = _charge_metrics()
-                if metrics["enabled"]():
-                    if not self.buffer_charges:
-                        reason = "disabled"
-                    elif self.observer is not None:
-                        reason = "observer"
-                    else:
-                        reason = "trace"
-                    metrics["disengaged"].labels(reason=reason).inc()
-
-    def flush_charges(self) -> None:
-        """Drain pending buffered charges into the current region."""
-        buf = self._buf
-        if buf is not None and buf:
-            metrics = _charge_metrics()
-            if metrics["enabled"]():
-                metrics["flushes"].inc()
-                metrics["entries"].observe(buf.entries())
-            buf.flush_into(self._stack[-1])
 
     @property
     def current(self) -> Region:
@@ -461,7 +346,6 @@ class MetricsRecorder:
         :func:`repro.suite.runner.run_benchmark` requires one so the
         report's totals describe a single benchmark.
         """
-        self.flush_charges()
         root = self.root
         return bool(
             root.children
@@ -480,7 +364,6 @@ class MetricsRecorder:
         in ``with recorder.region("step"):`` without creating thousands
         of children); pass distinct names for distinct segments.
         """
-        self.flush_charges()
         parent = self.current
         existing = next((c for c in parent.children if c.name == name), None)
         if existing is not None:
@@ -493,17 +376,14 @@ class MetricsRecorder:
             parent.children.append(region)
         region.entries += 1
         self._stack.append(region)
-        self._refresh_buffer_state()
         obs = self.observer
         if obs is not None:
             obs.on_region_enter(region)
         try:
             yield region
         finally:
-            self.flush_charges()
             popped = self._stack.pop()
             assert popped is region, "unbalanced region stack"
-            self._refresh_buffer_state()
             if obs is not None:
                 obs.on_region_exit(region)
 
@@ -512,52 +392,39 @@ class MetricsRecorder:
         self, kind: FlopKind, count: int, *, complex_valued: bool = False
     ) -> None:
         """Record operations of one kind in the current region."""
-        buf = self._buf
-        if buf is not None:
-            buf.add_flops(kind, count, complex_valued)
-            return
-        self.current.flops.add(kind, count, complex_valued=complex_valued)
+        self._stack[-1].flops.add(kind, count, complex_valued=complex_valued)
         obs = self.observer
         if obs is not None:
-            obs.on_flops(
-                self.current, kind, count, complex_valued=complex_valued
-            )
+            obs.on_flops(kind, count, complex_valued=complex_valued)
 
     def charge_raw_flops(self, flops: int) -> None:
         """Record pre-weighted FLOPs in the current region."""
-        buf = self._buf
-        if buf is not None:
-            buf.add_raw(flops)
-            return
-        self.current.flops.add_raw(flops)
+        self._stack[-1].flops.add_raw(flops)
         obs = self.observer
         if obs is not None:
-            obs.on_raw_flops(self.current, flops)
+            obs.on_raw_flops(flops)
 
     def charge_reduction(self, n_elements: int, n_results: int = 1) -> None:
-        """Charge a reduction at its sequential cost of ``N - 1``."""
+        """Charge a reduction at its sequential cost of ``N - 1``.
+
+        Charges the region directly rather than through
+        :meth:`charge_raw_flops`, so a subclass overriding both methods
+        sees each reduction once.
+        """
         flops = reduction_flops(n_elements, n_results)
-        buf = self._buf
-        if buf is not None:
-            buf.add_raw(flops)
-            return
-        self.current.flops.add_raw(flops)
+        self._stack[-1].flops.add_raw(flops)
         obs = self.observer
         if obs is not None:
-            obs.on_raw_flops(self.current, flops)
+            obs.on_raw_flops(flops)
 
     def charge_compute_time(self, seconds: float) -> None:
         """Add simulated compute seconds to the current region."""
         if seconds < 0:
             raise ValueError(f"negative compute time: {seconds}")
-        buf = self._buf
-        if buf is not None:
-            buf.add_compute(seconds)
-            return
-        self.current.compute_busy += seconds
+        self._stack[-1].compute_busy += seconds
         obs = self.observer
         if obs is not None:
-            obs.on_compute(self.current, seconds)
+            obs.on_compute(seconds)
 
     def charge_comm(
         self,
@@ -571,25 +438,14 @@ class MetricsRecorder:
         rank: Optional[int] = None,
         detail: str = "",
     ) -> Optional[CommEvent]:
-        """Account one collective; the buffered twin of ``Region.add_comm``.
+        """Account one collective in the current region.
 
-        Returns the :class:`CommEvent` only in trace mode (which is
-        always eager); buffered and eager fast-path calls return
-        ``None``, matching the session's ``record_comm`` contract.
+        The single comm-accounting entry point: it updates the region
+        (``Region.add_comm``) and notifies the observer.  Returns the
+        :class:`CommEvent` only in trace mode, matching the session's
+        ``record_comm`` contract.
         """
-        buf = self._buf
-        if buf is not None:
-            buf.add_comm(
-                pattern,
-                rank,
-                detail,
-                bytes_network=bytes_network,
-                bytes_local=bytes_local,
-                busy_time=busy_time,
-                idle_time=idle_time,
-            )
-            return None
-        return self.current.add_comm(
+        event = self._stack[-1].add_comm(
             pattern,
             bytes_network=bytes_network,
             bytes_local=bytes_local,
@@ -599,39 +455,30 @@ class MetricsRecorder:
             rank=rank,
             detail=detail,
         )
-
-    def record_comm(self, event: CommEvent) -> None:
-        """Account a communication event in the current region."""
-        self.flush_charges()
-        self.current.record_comm(event)
         obs = self.observer
         if obs is not None:
             obs.on_comm(
-                self.current,
-                event.pattern,
-                bytes_network=event.bytes_network,
-                bytes_local=event.bytes_local,
-                busy_time=event.busy_time,
-                idle_time=event.idle_time,
-                rank=event.rank,
-                detail=event.detail,
+                pattern,
+                bytes_network=bytes_network,
+                bytes_local=bytes_local,
+                busy_time=busy_time,
+                idle_time=idle_time,
+                detail=detail,
             )
+        return event
 
     # -- convenience ----------------------------------------------------
     @property
     def total_flops(self) -> int:
         """FLOPs accumulated over the whole run."""
-        self.flush_charges()
         return self.root.total_flops
 
     @property
     def busy_time(self) -> float:
         """Non-idle seconds over the whole run."""
-        self.flush_charges()
         return self.root.busy_time
 
     @property
     def elapsed_time(self) -> float:
         """Total simulated seconds over the whole run."""
-        self.flush_charges()
         return self.root.elapsed_time

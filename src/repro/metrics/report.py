@@ -142,7 +142,6 @@ class PerfReport:
         named ``main_region`` when present, matching the paper's
         per-main-loop-iteration attributes.
         """
-        recorder.flush_charges()
         root = recorder.root
         main = root.find(main_region) if main_region else None
         iters = main.iterations if main is not None else iterations

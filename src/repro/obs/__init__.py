@@ -4,11 +4,11 @@ The observability spine of the reproduction (see docs/OBSERVABILITY.md):
 
 * :class:`SpanCollector` (:mod:`repro.obs.spans`) — attaches to a
   session as a read-only observer and rebuilds the run as hierarchical
-  spans and timeline slices on the simulated clock, with totals that
-  reconcile bit-exactly against the run's
-  :class:`~repro.metrics.report.PerfReport`; :func:`span_summary`
-  condenses a finished recorder into the per-job summary the engine
-  and ``repro serve`` forward;
+  spans and timeline slices on the simulated clock; its totals read
+  the observed recorder, so they equal the run's
+  :class:`~repro.metrics.report.PerfReport` exactly.
+  :func:`span_summary` condenses a finished recorder into the per-job
+  summary the engine and ``repro serve`` forward;
 * :mod:`repro.obs.chrome` — Chrome trace-event JSON export
   (Perfetto-loadable), from live collectors or stored reports;
 * :mod:`repro.obs.profile` — text profile reports and folded-stack
@@ -42,7 +42,6 @@ from repro.obs.profile import (
 )
 from repro.obs.spans import (
     SPAN_SUMMARY_SCHEMA,
-    RegionMirror,
     Slice,
     Span,
     SpanCollector,
@@ -74,7 +73,6 @@ __all__ = [
     "EventStream",
     "StreamRead",
     "Subscription",
-    "RegionMirror",
     "Slice",
     "Span",
     "SpanCollector",

@@ -10,7 +10,7 @@ Renders a finalized :class:`~repro.obs.spans.SpanCollector` as
   busy microseconds, integer), the input format of Brendan Gregg's
   ``flamegraph.pl`` and of speedscope's "folded" importer.
 
-Both views come from the collector's region mirrors, so they carry the
+Both views walk the observed recorder's regions, so they carry the
 same totals the :class:`~repro.metrics.report.PerfReport` reports.
 """
 
@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.obs.spans import RegionMirror, SpanCollector
+from repro.metrics.recorder import Region
+from repro.obs.spans import SpanCollector, exclusive_busy
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -53,17 +54,21 @@ def profile_lines(
     ]
     if paths:
         busy_total = totals["busy_time_s"] or 1.0
-        ranked = sorted(paths, key=lambda item: item[1].busy, reverse=True)
+        ranked = sorted(
+            paths, key=lambda item: exclusive_busy(item[1]), reverse=True
+        )
         rows = []
-        for path, mirror in ranked[: max(1, top)]:
+        for path, region in ranked[: max(1, top)]:
+            busy = exclusive_busy(region)
+            net = sum(s.bytes_network for s in region.comm_stats.values())
             rows.append(
                 [
                     path,
-                    f"{_fmt_seconds(mirror.busy)}",
-                    f"{100.0 * mirror.busy / busy_total:.1f}%",
-                    _fmt_count(mirror.flops),
-                    _fmt_count(mirror.bytes_network),
-                    str(mirror.marked_iterations or mirror.entries),
+                    f"{_fmt_seconds(busy)}",
+                    f"{100.0 * busy / busy_total:.1f}%",
+                    _fmt_count(region.flops.total),
+                    _fmt_count(net),
+                    str(region.marked_iterations or region.entries),
                 ]
             )
         lines.append("")
@@ -120,17 +125,15 @@ def folded_stacks(
     benchmark name by default) carries any time charged outside every
     region.
     """
-    root = collector.root_mirror
-    if root is None:
-        raise RuntimeError("collector was never attached to a session")
+    root = collector.recorder.root
     base = root_frame if root_frame is not None else root.name
     out: List[str] = []
 
-    def visit(mirror: RegionMirror, prefix: str) -> None:
-        us = int(round(mirror.busy * 1e6))
+    def visit(region: Region, prefix: str) -> None:
+        us = int(round(exclusive_busy(region) * 1e6))
         if us > 0:
             out.append(f"{prefix} {us}")
-        for child in mirror.children:
+        for child in region.children:
             visit(child, f"{prefix};{child.name}")
 
     visit(root, base)

@@ -2,26 +2,22 @@
 
 Everything else in :mod:`repro.obs` observes the *simulated* machine;
 this module observes the *host* runtime around it — the serve layer's
-request flow, the engine's dispatch/batch/retry dynamics, the charge
-buffer's flush behaviour.  It is deliberately dependency-free (no
-prometheus_client): a :class:`MetricsRegistry` holds labeled
-:class:`Counter` / :class:`Gauge` / :class:`Histogram` families, is
-thread-safe behind one lock, and serializes to a JSON-safe *families*
-snapshot that :mod:`repro.obs.expo` renders as Prometheus text
-exposition (and parses back, strictly).
+request flow, the engine's dispatch/batch/retry dynamics.  It is
+deliberately dependency-free (no prometheus_client): a
+:class:`MetricsRegistry` holds labeled :class:`Counter` /
+:class:`Gauge` / :class:`Histogram` families, is thread-safe behind
+one lock, and serializes to a JSON-safe *families* snapshot that
+:mod:`repro.obs.expo` renders as Prometheus text exposition (and
+parses back, strictly).
 
-Process model: a registry is process-local.  Pool workers are separate
-processes, so worker-side metrics (the charge-buffer family) ride the
-existing worker payload protocol: :func:`MetricsRegistry.drain` empties
-the worker's registry into a families snapshot that travels home with
-the job result, and :func:`MetricsRegistry.merge` folds it into the
-parent's registry — counters and histogram buckets add, gauges follow
-their declared merge mode.
+Process model: a registry is process-local.  Every instrumented site
+runs in the process that owns the registry (the engine driver, the
+serve event loop); pool workers record nothing here.
 
 Invisibility contract: nothing here may touch simulated metrics.  The
 registry records wall-clock observations in its own structures only;
 ``canonical_report_json`` stays byte-identical with telemetry enabled
-(pinned by ``tests/test_telemetry_parity.py`` for all 32 benchmarks).
+(pinned by ``tests/test_telemetry.py`` for all 32 benchmarks).
 
 The ``REPRO_TELEMETRY=0`` environment kill switch (or
 :func:`set_enabled`) turns every instrumentation site into a cheap
@@ -34,7 +30,7 @@ import os
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Fixed log-spaced latency buckets, seconds.  A 1-2.5-5 decade ladder
 #: from 100 us to 60 s: fine enough to place a p99 within ~2x, coarse
@@ -46,7 +42,7 @@ LATENCY_BUCKETS_S: Tuple[float, ...] = (
 )
 
 #: Power-of-two size buckets for count-valued histograms (batch
-#: members, charge-buffer flush entries).
+#: members).
 SIZE_BUCKETS: Tuple[float, ...] = (
     1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096, 16384,
 )
@@ -144,14 +140,12 @@ class Metric:
         label_names: Tuple[str, ...],
         *,
         buckets: Optional[Tuple[float, ...]] = None,
-        merge: str = "sum",
     ) -> None:
         self._registry = registry
         self.name = _check_name(name)
         self.help = help_text
         self.kind = kind
         self.label_names = _check_labels(label_names)
-        self.merge = merge
         if kind == "histogram":
             if not buckets or sorted(buckets) != list(buckets):
                 raise ValueError(f"{name}: buckets must be sorted, non-empty")
@@ -301,21 +295,10 @@ class MetricsRegistry:
         return self._declare(name, help_text, "counter", labels)
 
     def gauge(
-        self,
-        name: str,
-        help_text: str,
-        labels: Sequence[str] = (),
-        *,
-        merge: str = "last",
+        self, name: str, help_text: str, labels: Sequence[str] = ()
     ) -> Metric:
-        """Declare (or fetch) a gauge family.
-
-        ``merge`` governs cross-process folding: ``last`` (incoming
-        value wins), ``sum`` or ``max``.
-        """
-        if merge not in ("last", "sum", "max"):
-            raise ValueError(f"bad gauge merge mode {merge!r}")
-        return self._declare(name, help_text, "gauge", labels, merge=merge)
+        """Declare (or fetch) a gauge family."""
+        return self._declare(name, help_text, "gauge", labels)
 
     def histogram(
         self,
@@ -335,7 +318,7 @@ class MetricsRegistry:
         with self._lock:
             self._collectors.append(collector)
 
-    # -- snapshot / merge ------------------------------------------------
+    # -- snapshot --------------------------------------------------------
     def collect(self) -> Dict[str, Dict]:
         """JSON-safe families snapshot (collectors run first).
 
@@ -363,108 +346,6 @@ class MetricsRegistry:
                 families[name] = family
         return families
 
-    def drain(self, prefix: Optional[str] = None) -> Dict[str, Dict]:
-        """Snapshot then reset matching metrics (worker shipping).
-
-        Collectors do *not* run (a worker's derived state stays local);
-        only families with recorded series are returned, so an idle
-        worker ships nothing.  Gauges are level metrics, not deltas —
-        they stay put and are not shipped.  ``prefix`` restricts the
-        drain to one namespace — the pool protocol drains only
-        ``repro_charge_``.
-        """
-        families: Dict[str, Dict] = {}
-        with self._lock:
-            for name in sorted(self._metrics):
-                if prefix is not None and not name.startswith(prefix):
-                    continue
-                metric = self._metrics[name]
-                if metric.kind == "gauge":
-                    continue
-                series = metric._snapshot_series()
-                if not series:
-                    continue
-                family: Dict[str, object] = {
-                    "type": metric.kind,
-                    "help": metric.help,
-                    "label_names": list(metric.label_names),
-                    "series": series,
-                }
-                if metric.kind == "histogram":
-                    family["buckets"] = list(metric.buckets)
-                families[name] = family
-                if metric.kind != "gauge":
-                    metric._reset()
-        return families
-
-    def merge(self, families: Mapping[str, Mapping]) -> None:
-        """Fold a families snapshot from another process into this one.
-
-        Counters and histogram buckets add; gauges follow their merge
-        mode (incoming families declare metrics absent here).
-        """
-        for name, family in families.items():
-            kind = family["type"]
-            labels = tuple(family.get("label_names", ()))
-            if kind == "histogram":
-                metric = self.histogram(
-                    name,
-                    family.get("help", ""),
-                    labels,
-                    buckets=tuple(family.get("buckets", LATENCY_BUCKETS_S)),
-                )
-                self._merge_histogram(metric, family)
-            elif kind == "gauge":
-                metric = self.gauge(name, family.get("help", ""), labels)
-                self._merge_scalar(metric, family, metric.merge)
-            else:
-                metric = self.counter(name, family.get("help", ""), labels)
-                self._merge_scalar(metric, family, "sum")
-
-    def _merge_scalar(self, metric: Metric, family: Mapping, mode: str) -> None:
-        with self._lock:
-            for entry in family["series"]:
-                key = tuple(
-                    str(entry["labels"][n]) for n in metric.label_names
-                )
-                incoming = float(entry["value"])
-                if mode == "sum":
-                    metric._scalars[key] = (
-                        metric._scalars.get(key, 0.0) + incoming
-                    )
-                elif mode == "max":
-                    metric._scalars[key] = max(
-                        metric._scalars.get(key, incoming), incoming
-                    )
-                else:
-                    metric._scalars[key] = incoming
-
-    def _merge_histogram(self, metric: Metric, family: Mapping) -> None:
-        with self._lock:
-            for entry in family["series"]:
-                key = tuple(
-                    str(entry["labels"][n]) for n in metric.label_names
-                )
-                incoming = entry["buckets"]
-                finite = [b for b in incoming if b[0] != float("inf")]
-                if [b[0] for b in finite] != list(metric.buckets):
-                    raise ValueError(
-                        f"{metric.name}: bucket layout mismatch on merge"
-                    )
-                counts = metric._hist.get(key)
-                if counts is None:
-                    counts = [0.0] * (len(metric.buckets) + 1)
-                    metric._hist[key] = counts
-                    metric._scalars[key] = 0.0
-                    metric._sums[key] = 0.0
-                # de-cumulate the incoming snapshot back to per-bucket
-                previous = 0.0
-                for position, (_, cumulative) in enumerate(incoming):
-                    counts[position] += cumulative - previous
-                    previous = cumulative
-                metric._scalars[key] += float(entry["count"])
-                metric._sums[key] += float(entry["sum"])
-
     def reset(self) -> None:
         """Zero every series of every metric (tests)."""
         with self._lock:
@@ -478,8 +359,8 @@ _REGISTRY = MetricsRegistry()
 def get_registry() -> MetricsRegistry:
     """The process-global default registry.
 
-    CLI-local instrumentation (engine runs, campaign sweeps, the charge
-    buffer inside workers) lands here; the serve layer gives each
+    CLI-local instrumentation (engine runs, campaign sweeps) lands
+    here; the serve layer gives each
     :class:`~repro.serve.server.ServeApp` its own registry instead so
     ``GET /metrics`` describes exactly one server instance.
     """

@@ -124,13 +124,10 @@ class ServeApp:
         self.jobs: Dict[str, Job] = {}
         # each app owns its registry (not the process-global one) so
         # GET /metrics describes exactly this server instance even with
-        # several apps in one test process; the pool drains worker-side
-        # charge metrics into it
+        # several apps in one test process
         self.telemetry = telemetry.MetricsRegistry()
         self._init_telemetry()
-        self.pool = WorkerPool(
-            self.config.workers, telemetry=self.telemetry
-        )
+        self.pool = WorkerPool(self.config.workers)
         self.cache = (
             ResultCache(self.config.cache_dir)
             if self.config.cache_dir is not None

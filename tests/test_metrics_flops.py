@@ -154,14 +154,36 @@ class TestFlopCounter:
 
     @given(
         st.lists(
-            st.tuples(st.sampled_from(list(FlopKind)), st.integers(0, 1000)),
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(list(FlopKind)),
+                    st.integers(0, 1000),
+                    st.booleans(),
+                ),
+                st.integers(0, 1000),  # an add_raw charge
+            ),
             max_size=30,
         )
     )
-    def test_total_is_sum_of_costs(self, ops):
+    def test_total_is_sum_of_costs(self, charges):
+        """Weighting on read equals weighting each charge as it comes."""
         c = FlopCounter()
         expected = 0
-        for kind, n in ops:
-            c.add(kind, n)
-            expected += flop_cost(kind, n)
+        weighted = {}
+        ops = {}
+        for charge in charges:
+            if isinstance(charge, int):
+                kind, n, cost = FlopKind.ADD, charge, charge
+                c.add_raw(n)
+            else:
+                kind, n, complex_valued = charge
+                cost = flop_cost(kind, n, complex_valued=complex_valued)
+                c.add(kind, n, complex_valued=complex_valued)
+            expected += cost
+            if n:
+                weighted[kind] = weighted.get(kind, 0) + cost
+                ops[kind] = ops.get(kind, 0) + n
         assert c.total == expected
+        # add_raw(0) leaves a zero ADD entry, as it always has
+        assert {k: v for k, v in c.weighted_by_kind.items() if v} == weighted
+        assert {k: v for k, v in c.operations.items() if v} == ops

@@ -4,13 +4,13 @@ import pytest
 
 from repro.metrics.flops import FlopKind
 from repro.metrics.patterns import CommPattern
-from repro.metrics.recorder import CommEvent, MetricsRecorder, Region
+from repro.metrics.recorder import MetricsRecorder, Region
 
 
-def _event(pattern=CommPattern.CSHIFT, busy=1.0, idle=0.5, net=100):
-    return CommEvent(
-        pattern=pattern, bytes_network=net, busy_time=busy, idle_time=idle
-    )
+def _comm(target, pattern=CommPattern.CSHIFT, busy=1.0, idle=0.5, net=100):
+    """Account one collective on a Region or a MetricsRecorder."""
+    charge = target.add_comm if isinstance(target, Region) else target.charge_comm
+    return charge(pattern, bytes_network=net, busy_time=busy, idle_time=idle)
 
 
 class TestRegion:
@@ -24,7 +24,7 @@ class TestRegion:
         root.children.append(child)
         root.compute_busy = 1.0
         child.compute_busy = 2.0
-        child.record_comm(_event(busy=0.5, idle=0.25))
+        _comm(child, busy=0.5, idle=0.25)
         assert root.busy_time == pytest.approx(3.5)
         assert root.elapsed_time == pytest.approx(3.75)
 
@@ -32,9 +32,9 @@ class TestRegion:
         root = Region("root")
         child = Region("child")
         root.children.append(child)
-        root.record_comm(_event(CommPattern.REDUCTION))
-        child.record_comm(_event(CommPattern.CSHIFT))
-        child.record_comm(_event(CommPattern.CSHIFT))
+        _comm(root, CommPattern.REDUCTION)
+        _comm(child, CommPattern.CSHIFT)
+        _comm(child, CommPattern.CSHIFT)
         counts = root.comm_counts()
         assert counts[CommPattern.REDUCTION] == 1
         assert counts[CommPattern.CSHIFT] == 2
@@ -42,26 +42,26 @@ class TestRegion:
     def test_comm_counts_per_iteration(self):
         r = Region("r", iterations=4)
         for _ in range(8):
-            r.record_comm(_event())
+            _comm(r)
         assert r.comm_counts_per_iteration()[CommPattern.CSHIFT] == 2.0
 
     def test_network_bytes(self):
         r = Region("r")
-        r.record_comm(_event(net=30))
-        r.record_comm(_event(net=70))
+        _comm(r, net=30)
+        _comm(r, net=70)
         assert r.network_bytes == 100
 
     def test_comm_busy_idle_running_sums(self):
         r = Region("r")
         for _ in range(3):
-            r.record_comm(_event(busy=0.5, idle=0.25))
+            _comm(r, busy=0.5, idle=0.25)
         assert r.comm_busy == pytest.approx(1.5)
         assert r.comm_idle == pytest.approx(0.75)
         assert r.comm_count == 3
 
     def test_fast_path_keeps_no_events(self):
         r = Region("r")
-        r.record_comm(_event())
+        _comm(r)
         assert r.comm_count == 1
         # Both per-event accessors raise, and the message names the
         # exact flags that would have retained the events.
@@ -81,8 +81,7 @@ class TestRegion:
 
     def test_detail_mode_keeps_events(self):
         r = Region("r", detail_events=True)
-        ev = _event()
-        r.record_comm(ev)
+        ev = _comm(r)
         assert r.comm_events == [ev]
         assert r.total_comm_events == [ev]
 
@@ -174,12 +173,12 @@ class TestMetricsRecorder:
     def test_comm_charged_to_current_region(self):
         rec = MetricsRecorder()
         with rec.region("loop"):
-            rec.record_comm(_event())
+            _comm(rec)
         assert rec.root.find("loop").comm_counts()[CommPattern.CSHIFT] == 1
         assert rec.root.comm_counts()[CommPattern.CSHIFT] == 1
 
     def test_busy_and_elapsed_from_comm(self):
         rec = MetricsRecorder()
-        rec.record_comm(_event(busy=2.0, idle=1.0))
+        _comm(rec, busy=2.0, idle=1.0)
         assert rec.busy_time == pytest.approx(2.0)
         assert rec.elapsed_time == pytest.approx(3.0)

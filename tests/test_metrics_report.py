@@ -5,7 +5,7 @@ import pytest
 from repro.metrics.access import LocalAccess
 from repro.metrics.flops import FlopKind
 from repro.metrics.patterns import CommPattern
-from repro.metrics.recorder import CommEvent, MetricsRecorder
+from repro.metrics.recorder import MetricsRecorder
 from repro.metrics.report import PerfReport
 
 
@@ -19,13 +19,11 @@ def _make_recorder():
         rec.charge_flops(FlopKind.MUL, 900)
         rec.charge_compute_time(0.9)
         for _ in range(20):
-            rec.record_comm(
-                CommEvent(
-                    pattern=CommPattern.CSHIFT,
-                    bytes_network=64,
-                    busy_time=0.01,
-                    idle_time=0.005,
-                )
+            rec.charge_comm(
+                CommPattern.CSHIFT,
+                bytes_network=64,
+                busy_time=0.01,
+                idle_time=0.005,
             )
     return rec
 

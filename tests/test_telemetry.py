@@ -118,52 +118,6 @@ class TestRegistry:
         assert series_value(reg.collect(), "t_now") == 9
 
 
-class TestMergeAndDrain:
-    def test_merge_sums_counters_and_histograms(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        for reg, n in ((a, 2), (b, 3)):
-            reg.counter("t_total", "h").inc(n)
-            h = reg.histogram("t_lat", "h")
-            for _ in range(n):
-                h.observe(0.01)
-        a.merge(b.collect())
-        fam = a.collect()
-        assert series_value(fam, "t_total") == 5
-        assert histogram_stats(fam, "t_lat")["count"] == 5
-
-    def test_merge_rejects_bucket_layout_mismatch(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.histogram("t_lat", "h", buckets=(1.0, 2.0)).observe(1.5)
-        b.histogram("t_lat", "h", buckets=(1.0, 4.0)).observe(1.5)
-        with pytest.raises(ValueError):
-            a.merge(b.collect())
-
-    def test_drain_resets_counters_not_gauges(self):
-        reg = MetricsRegistry()
-        reg.counter("repro_charge_flushes_total", "h").inc(4)
-        reg.counter("other_total", "h").inc(2)
-        reg.gauge("repro_charge_depth", "g").set(3)
-        shipped = reg.drain(prefix="repro_charge_")
-        assert set(shipped) == {"repro_charge_flushes_total"}
-        fam = reg.collect()
-        assert series_value(fam, "repro_charge_flushes_total") == 0
-        assert series_value(fam, "other_total") == 2
-        assert series_value(fam, "repro_charge_depth") == 3
-        # draining twice ships nothing new
-        assert reg.drain(prefix="repro_charge_") == {}
-
-    def test_gauge_merge_modes(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.gauge("t_max", "g", merge="max").set(2)
-        b.gauge("t_max", "g", merge="max").set(9)
-        a.gauge("t_sum", "g", merge="sum").set(2)
-        b.gauge("t_sum", "g", merge="sum").set(9)
-        a.merge(b.collect())
-        fam = a.collect()
-        assert series_value(fam, "t_max") == 9
-        assert series_value(fam, "t_sum") == 11
-
-
 class TestExposition:
     def _sample_families(self):
         reg = MetricsRegistry()
