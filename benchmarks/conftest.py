@@ -17,7 +17,7 @@ import pathlib
 
 import pytest
 
-from repro.sessions import perf_session
+from repro.sessions import open_session
 
 OUTPUT_DIR = pathlib.Path(__file__).parent / "output"
 
@@ -47,9 +47,7 @@ def output_dir() -> pathlib.Path:
 
 @pytest.fixture
 def session_factory():
-    # Timing harness: the aggregate-only fast path keeps measured
-    # wall-clock free of per-event accounting overhead.
-    return lambda: perf_session("cm5", 32)
+    return lambda: open_session("cm5", 32)
 
 
 @pytest.fixture(scope="session")

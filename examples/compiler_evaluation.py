@@ -16,7 +16,7 @@ compute-dominated codes and narrows on latency-sensitive,
 communication-rich ones — the suite separates the two effects.
 """
 
-from repro import VersionTier, perf_session
+from repro import VersionTier, open_session
 from repro.suite import run_suite
 from repro.suite.tables import format_table
 
@@ -31,9 +31,9 @@ SUBSET = {
 }
 
 ENVIRONMENTS = {
-    "CM-5/32 basic": lambda: perf_session("cm5", 32, tier=VersionTier.BASIC),
-    "CM-5/32 cmssl": lambda: perf_session("cm5", 32, tier=VersionTier.CMSSL),
-    "cluster/16 basic": lambda: perf_session(
+    "CM-5/32 basic": lambda: open_session("cm5", 32, tier=VersionTier.BASIC),
+    "CM-5/32 cmssl": lambda: open_session("cm5", 32, tier=VersionTier.CMSSL),
+    "cluster/16 basic": lambda: open_session(
         "cluster", 16, tier=VersionTier.BASIC
     ),
 }

@@ -12,7 +12,7 @@ a 2-D grid, a kernel the stock suite does not cover.
 
 import numpy as np
 
-from repro import perf_session, run_benchmark
+from repro import open_session, run_benchmark
 from repro.apps.base import AppResult
 from repro.array import from_numpy
 from repro.array.masks import assign_where
@@ -77,7 +77,7 @@ def main() -> None:
         description="red-black Gauss-Seidel smoothing (user benchmark)",
     )
 
-    report = run_benchmark("smooth-relax", perf_session("cm5", 32))
+    report = run_benchmark("smooth-relax", open_session("cm5", 32))
     print(report.summary())
     print(f"\nresidual after smoothing: {report.extra['residual_inf']:.4f}")
     print(

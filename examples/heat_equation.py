@@ -18,7 +18,7 @@ performance signatures.
 
 import numpy as np
 
-from repro import Session, perf_session
+from repro import Session, open_session
 from repro.array import from_numpy
 from repro.comm.primitives import cshift
 from repro.comm.stencil import stencil_apply
@@ -64,7 +64,7 @@ def main() -> None:
         ("explicit / 4 cshifts", explicit_cshift),
         ("explicit / stencil primitive", explicit_stencil),
     ):
-        session = perf_session("cm5", 32)
+        session = open_session("cm5", 32)
         u = fn(session, n, steps, r)
         rec = session.recorder
         results[label] = u.np

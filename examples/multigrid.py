@@ -12,7 +12,7 @@ emerges from the same accounting machinery the suite uses.
 
 import numpy as np
 
-from repro import perf_session
+from repro import open_session
 from repro.array import from_numpy
 from repro.comm.stencil import stencil_apply
 
@@ -102,7 +102,7 @@ def main() -> None:
         ("damped Jacobi (x20 sweeps/cycle)",
          lambda s, u, f: jacobi_smooth(u, f, sweeps=20)),
     ):
-        session = perf_session("cm5", 32)
+        session = open_session("cm5", 32)
         f = from_numpy(session, f_data, "(:,:)")
         u, history = solve(session, f, method, tol=1e-6)
         rec = session.recorder

@@ -9,7 +9,7 @@ their communication and memory signatures differ — exactly the
 trade-off the benchmark exists to expose.
 """
 
-from repro import perf_session
+from repro import open_session
 from repro.apps import nbody
 from repro.suite.tables import format_table
 
@@ -18,7 +18,7 @@ def main() -> None:
     n = 96
     rows = []
     for variant in nbody.VARIANTS:
-        session = perf_session("cm5", 32)
+        session = open_session("cm5", 32)
         result = nbody.run(session, n=n, variant=variant)
         rec = session.recorder
         main_loop = rec.root.find("main_loop")

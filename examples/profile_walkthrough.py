@@ -20,7 +20,7 @@ Usage::
 import tempfile
 from pathlib import Path
 
-from repro import perf_session, run_benchmark
+from repro import open_session, run_benchmark
 from repro.obs import (
     SpanCollector,
     chrome_trace,
@@ -33,7 +33,7 @@ from repro.obs import (
 
 
 def main() -> None:
-    session = perf_session("cm5", 32)
+    session = open_session("cm5", 32)
     collector = SpanCollector().attach(session)
     report = run_benchmark("conj-grad", session, n=512)
     collector.finalize()

@@ -14,7 +14,7 @@ Usage::
 
 import sys
 
-from repro import perf_session, run_benchmark
+from repro import open_session, run_benchmark
 from repro.suite import REGISTRY
 
 
@@ -28,7 +28,7 @@ def main() -> None:
 
     # A 32-node CM-5 partition: 4 vector units per node at 32 MFLOP/s
     # peak each (the paper's reference platform).
-    session = perf_session("cm5", 32)
+    session = open_session("cm5", 32)
     print(f"machine: {session.machine.describe()}")
     print(f"benchmark: {name} — {REGISTRY[name].description}")
     print()

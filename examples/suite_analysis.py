@@ -9,7 +9,7 @@ on the CM-5 model, and prints a per-pattern communication profile of
 one representative code.
 """
 
-from repro import perf_session, trace_session
+from repro import open_session
 from repro.analysis.ratios import comm_to_comp_ratio
 from repro.analysis.trace import trace_summary
 from repro.suite import run_benchmark, run_suite
@@ -52,7 +52,7 @@ SMALL = {
 
 
 def main() -> None:
-    reports = run_suite(lambda: perf_session("cm5", 32), params=SMALL)
+    reports = run_suite(lambda: open_session("cm5", 32), params=SMALL)
     rows = []
     for name in sorted(reports):
         summary = comm_to_comp_ratio(reports[name])
@@ -84,8 +84,7 @@ def main() -> None:
     )
 
     print("\n\ncommunication profile of pic-gather-scatter:\n")
-    # The per-event trace summary needs trace mode (detail_events=True).
-    session = trace_session("cm5", 32)
+    session = open_session("cm5", 32)
     run_benchmark("pic-gather-scatter", session, nx=8, n_p=64, steps=1)
     print(trace_summary(session.recorder))
 

@@ -36,7 +36,7 @@ from repro.array import (
 )
 from repro.layout import Axis, Layout, parse_layout
 from repro.machine import MachineModel, Session, cm5, cm5e, generic_cluster, workstation
-from repro.sessions import open_session, perf_session, trace_session
+from repro.sessions import open_session
 from repro.metrics import (
     CommPattern,
     FlopKind,
@@ -73,11 +73,9 @@ __all__ = [
     "ones",
     "open_session",
     "parse_layout",
-    "perf_session",
     "run_benchmark",
     "scale_add",
     "stencil_combine",
-    "trace_session",
     "workstation",
     "zeros",
 ]

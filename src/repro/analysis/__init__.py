@@ -10,24 +10,21 @@ the appropriate code … according to a given set of goals and criteria"
 * :mod:`repro.analysis.compare` — environment comparisons: run the
   suite on two machine/tier configurations, rank winners, locate
   crossover problem sizes;
-* :mod:`repro.analysis.trace` — export the recorded communication
-  events as a structured trace for external tooling.
+* :mod:`repro.analysis.trace` — a run's per-pattern communication
+  profile (count, bytes, busy/idle seconds).
 """
 
 from repro.analysis.bandwidth import BandwidthFit, measure_bisection_bandwidth
 from repro.analysis.compare import EnvironmentComparison, compare_environments, find_crossover
 from repro.analysis.ratios import RatioSummary, comm_to_comp_ratio, grain_size
-from repro.analysis.trace import comm_trace, trace_to_json
 
 __all__ = [
     "BandwidthFit",
     "EnvironmentComparison",
     "RatioSummary",
     "comm_to_comp_ratio",
-    "comm_trace",
     "compare_environments",
     "find_crossover",
     "grain_size",
     "measure_bisection_bandwidth",
-    "trace_to_json",
 ]

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.machine.model import MachineModel
 from repro.machine.session import Session
+from repro.metrics.patterns import CommPattern
 from repro.suite.runner import run_benchmark
 
 
@@ -46,29 +47,27 @@ def measure_bisection_bandwidth(
 
     Uses the *network* portion of the per-transpose elapsed time (the
     data motion through the bisection), exactly as a benchmarker with
-    a wall clock would after subtracting local copy costs.
+    a wall clock would after subtracting local copy costs.  A single
+    node has no bisection: its transposes move no network bytes at any
+    size, so it is rejected before the sweep.
     """
+    if machine.nodes < 2:
+        raise ValueError(
+            f"bisection bandwidth needs at least 2 nodes; {machine.name} "
+            f"has {machine.nodes}"
+        )
     elapsed = []
     bytes_moved = []
     for n in sizes:
-        # Per-event timings are needed below, so keep the full trace.
-        session = Session(machine, detail_events=True)
+        session = Session(machine)
         run_benchmark("transpose", session, n=n, repeats=repeats)
-        events = [
-            e
-            for e in session.recorder.root.total_comm_events
-            if e.pattern.value == "aapc"
-        ]
-        per_call_bytes = events[0].bytes_network
+        aapc = session.recorder.root.comm_by_pattern()[CommPattern.AAPC]
         # Network time only: subtract the node-local copy share.
-        net_busy = sum(
-            e.busy_time
-            - machine.local_move_time(e.bytes_local / max(1, e.nodes))
-            for e in events
+        net_busy = aapc.busy_time - machine.local_move_time(
+            aapc.bytes_local / machine.nodes
         )
-        net_idle = sum(e.idle_time for e in events)
-        elapsed.append((net_busy + net_idle) / len(events))
-        bytes_moved.append(per_call_bytes)
+        elapsed.append((net_busy + aapc.idle_time) / aapc.count)
+        bytes_moved.append(aapc.bytes_network // aapc.count)
 
     # Least-squares fit t = a + bytes / B.
     A = np.stack([np.ones(len(sizes)), np.array(bytes_moved, dtype=float)], axis=1)

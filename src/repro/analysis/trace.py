@@ -1,106 +1,27 @@
-"""Communication-trace export.
+"""Per-pattern communication profile of a run.
 
-Flattens a recorder's region tree into a chronological event trace
-(region path, pattern, bytes, busy/idle seconds) for external tooling
-— the modern equivalent of the CM-5's PRISM communication profiles.
-
-Per-event traces exist only in trace mode (``Session(detail_events=
-True)`` / ``repro.sessions.trace_session``); :func:`comm_trace` raises
-an informative error when events were dropped on the aggregate-only
-fast path instead of silently returning an empty trace.
-:func:`trace_summary` aggregates per pattern and therefore works in
-both modes.
+:func:`trace_summary` tabulates count, network bytes and busy/idle
+seconds per pattern from the recorder's per-stream aggregates — the
+modern equivalent of the CM-5's PRISM communication profiles.
+Per-event timelines come from :class:`repro.obs.SpanCollector`
+(``repro profile --chrome``, ``repro trace export``).
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
-from typing import List
-
 from repro.metrics.recorder import MetricsRecorder
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One communication event with its region path."""
-
-    region: str
-    pattern: str
-    bytes_network: int
-    bytes_local: int
-    nodes: int
-    busy_time: float
-    idle_time: float
-    rank: int | None
-    detail: str
-
-
-def comm_trace(recorder: MetricsRecorder) -> List[TraceEvent]:
-    """Depth-first flattening of all communication events (trace mode)."""
-    if recorder.root.total_comm_count and not recorder.detail_events:
-        raise RuntimeError(
-            "comm_trace needs per-event communication traces, but this "
-            "recorder ran on the aggregate-only fast path; open the "
-            "session with Session(detail_events=True) or "
-            "repro.sessions.trace_session() to keep them"
-        )
-    events: List[TraceEvent] = []
-    stack = [(recorder.root, "")]
-    while stack:
-        region, path = stack.pop()
-        here = f"{path}/{region.name}" if path else region.name
-        for e in region.comm_events:
-            events.append(
-                TraceEvent(
-                    region=here,
-                    pattern=e.pattern.value,
-                    bytes_network=e.bytes_network,
-                    bytes_local=e.bytes_local,
-                    nodes=e.nodes,
-                    busy_time=e.busy_time,
-                    idle_time=e.idle_time,
-                    rank=e.rank,
-                    detail=e.detail,
-                )
-            )
-        for child in reversed(region.children):
-            stack.append((child, here))
-    return events
-
-
-def trace_to_json(recorder: MetricsRecorder, indent: int = 2) -> str:
-    """JSON document of the flattened event trace (trace mode)."""
-    return json.dumps(
-        [asdict(e) for e in comm_trace(recorder)], indent=indent
-    )
-
-
 def trace_summary(recorder: MetricsRecorder) -> str:
-    """Aggregate communication by pattern: count, bytes, time.
-
-    Built from the per-region :class:`~repro.metrics.recorder.CommStats`
-    accumulators, so it reports identical numbers on the fast path and
-    in trace mode.
-    """
-    totals: dict = {}
-    for region in recorder.root.walk():
-        for stats in region.comm_stats.values():
-            entry = totals.setdefault(
-                stats.pattern.value,
-                {"count": 0, "bytes": 0, "busy": 0.0, "idle": 0.0},
-            )
-            entry["count"] += stats.count
-            entry["bytes"] += stats.bytes_network
-            entry["busy"] += stats.busy_time
-            entry["idle"] += stats.idle_time
+    """Aggregate communication by pattern: count, bytes, time."""
+    totals = recorder.root.comm_by_pattern()
     lines = [
         f"{'pattern':18s} {'count':>7s} {'net bytes':>12s} {'busy s':>10s} {'idle s':>10s}"
     ]
-    for pattern in sorted(totals):
-        t = totals[pattern]
+    for stats in sorted(totals.values(), key=lambda s: s.pattern.value):
         lines.append(
-            f"{pattern:18s} {t['count']:7d} {t['bytes']:12d} "
-            f"{t['busy']:10.6f} {t['idle']:10.6f}"
+            f"{stats.pattern.value:18s} {stats.count:7d} "
+            f"{stats.bytes_network:12d} "
+            f"{stats.busy_time:10.6f} {stats.idle_time:10.6f}"
         )
     return "\n".join(lines)

@@ -10,7 +10,7 @@ that fixed overhead — ~14 µs against ~4 µs for a two-slice
 :func:`fast_roll` handles exactly the case the comm primitives and
 apps use (one integer shift along one axis) and is verified
 element-identical to ``np.roll`` across shifts, axes and dtypes by
-``tests/test_fastpath_parity.py``; both build the result from the same
+``tests/test_report_digests.py``; both build the result from the same
 two contiguous copies, so values (and therefore every downstream
 metric) are unchanged.
 """

@@ -16,9 +16,8 @@ RULES: Dict[str, str] = {
     "div, transcendental) with no charge of that FlopKind",
     "RC003": "comm without record: distributed data movement with no "
     "record_comm and no collective-library call",
-    "RC004": "session misuse: reused session, region not used as a "
-    "context manager, or per-event accessor reachable on the "
-    "aggregate-only fast path",
+    "RC004": "session misuse: reused session, or region not used as a "
+    "context manager",
     "RC005": "fused-kernel parity: a repro.array.fused call whose "
     "documented operator expression disagrees with the kernel's "
     "charged FLOP-kind sequence",

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.check.callgraph import CallGraph, FunctionNode
 from repro.check.findings import Finding

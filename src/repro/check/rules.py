@@ -183,10 +183,6 @@ DISTARRAY_KIND_METHODS = {
 #: .shape, .dtype, .size, .np ... — breaks the chain).
 TAINT_ATTRS = {"data", "T", "real", "imag", "flat"}
 
-#: Per-event accessors that raise (or silently miss events) on the
-#: aggregate-only fast path.
-EVENT_ACCESSORS = {"comm_events", "total_comm_events"}
-
 #: Known charge sequences of the fused kernels (RC005), as FLOP-kind
 #: multisets.  linear_combine is arity-dependent and handled in code.
 FUSED_SEQUENCES: Dict[str, Dict[str, int]] = {
@@ -243,8 +239,6 @@ class FunctionFacts:
     with_region_calls: int = 0
     span_calls: List[_Site] = field(default_factory=list)
     unscoped_iteration_sites: List[_Site] = field(default_factory=list)
-    event_accessor_sites: List[_Site] = field(default_factory=list)
-    mentions_detail_events: bool = False
     session_reuse_sites: List[Tuple[str, _Site]] = field(
         default_factory=list
     )
@@ -618,20 +612,6 @@ class _FunctionScanner(ast.NodeVisitor):
             )
         self.generic_visit(node)
 
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr in EVENT_ACCESSORS:
-            self._add_site(
-                self.facts.event_accessor_sites, node, None, node.attr
-            )
-        if node.attr == "detail_events":
-            self.facts.mentions_detail_events = True
-        self.generic_visit(node)
-
-    def visit_keyword(self, node: ast.keyword) -> None:
-        if node.arg == "detail_events":
-            self.facts.mentions_detail_events = True
-        self.generic_visit(node)
-
     def visit_Call(self, node: ast.Call) -> None:
         recv, name = _call_name(node.func)
         args = list(node.args) + [k.value for k in node.keywords]
@@ -674,8 +654,6 @@ class _FunctionScanner(ast.NodeVisitor):
                     self._add_site(
                         self.facts.span_calls, node, None, "iteration"
                     )
-            elif name == "trace_session":
-                self.facts.mentions_detail_events = True
             elif name == "run_benchmark":
                 session_arg = None
                 if len(node.args) >= 2 and isinstance(node.args[1], ast.Name):
@@ -889,7 +867,7 @@ def rc003_comm_without_record(
 
 
 def rc004_session_misuse(facts: FunctionFacts, path: str) -> List[Finding]:
-    """RC004: reused sessions, dangling regions, fast-path accessors."""
+    """RC004: reused sessions and dangling regions."""
     out: List[Finding] = []
     for session_name, site in facts.session_reuse_sites:
         out.append(
@@ -922,24 +900,6 @@ def rc004_session_misuse(facts: FunctionFacts, path: str) -> List[Finding]:
                 ),
             )
         )
-    if not facts.mentions_detail_events:
-        for site in facts.event_accessor_sites:
-            out.append(
-                Finding(
-                    code="RC004",
-                    path=path,
-                    line=site.line,
-                    col=site.col,
-                    symbol=facts.symbol,
-                    message=(
-                        f"per-event accessor .{site.detail} is reachable "
-                        "on the aggregate-only fast path, where events "
-                        "are dropped; guard on recorder.detail_events or "
-                        "open the session with Session(detail_events="
-                        "True) / repro.sessions.trace_session"
-                    ),
-                )
-            )
     return out
 
 

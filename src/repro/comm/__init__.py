@@ -5,9 +5,9 @@ Implements the full DPF communication-pattern vocabulary over
 reductions, broadcasts, all-to-all personalized communication
 (transpose/remap), gather and scatter with combiners, general
 send/get, scans (plain and segmented), parallel sort, and stencil
-evaluation.  Every call moves real data with NumPy and records a
-:class:`~repro.metrics.CommEvent` charged against the machine's
-network model.
+evaluation.  Every call moves real data with NumPy, charges the
+machine's network model, and adds one occurrence to its region's
+``(pattern, rank, detail)`` communication stream.
 
 On the CM-5 these functions correspond to the run-time system's
 collective communication library and the CMF intrinsics; several of

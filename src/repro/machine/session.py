@@ -4,7 +4,7 @@ A :class:`Session` is what a benchmark actually runs against.  It knows
 the simulated machine, the code-version tier being evaluated (which
 sets the sustained fraction of peak for generated code), and owns the
 :class:`~repro.metrics.recorder.MetricsRecorder` that accumulates the
-run's FLOPs, communication events and simulated time.
+run's FLOPs, communication and simulated time.
 
 The distributed-array layer and the collective-communication library
 charge everything through the session; benchmarks never talk to the
@@ -22,7 +22,7 @@ from repro.metrics.access import LocalAccess
 from repro.metrics.flops import FlopKind, flop_cost
 from repro.metrics.memory import TypeTag
 from repro.metrics.patterns import CommPattern
-from repro.metrics.recorder import CommEvent, MetricsRecorder
+from repro.metrics.recorder import MetricsRecorder
 from repro.versions import VersionTier
 
 #: One step of a fused elementwise charge sequence:
@@ -37,13 +37,7 @@ _NULL_SPAN: ContextManager[None] = nullcontext()
 
 
 class Session:
-    """One benchmark execution on one simulated machine.
-
-    ``detail_events=True`` opens the session in trace mode: the
-    recorder retains every individual :class:`CommEvent` (needed by
-    :mod:`repro.analysis.trace`).  The default fast path accounts
-    communication in aggregate only — reported metrics are identical.
-    """
+    """One benchmark execution on one simulated machine."""
 
     def __init__(
         self,
@@ -51,15 +45,10 @@ class Session:
         *,
         tier: VersionTier = VersionTier.BASIC,
         recorder: Optional[MetricsRecorder] = None,
-        detail_events: bool = False,
     ) -> None:
         self.machine = machine
         self.tier = tier
-        self.recorder = (
-            recorder
-            if recorder is not None
-            else MetricsRecorder(detail_events=detail_events)
-        )
+        self.recorder = recorder if recorder is not None else MetricsRecorder()
         # Per-stream memo of elementwise charge pricing.  The machine,
         # tier and layouts are all frozen value objects and
         # ``MachineModel.compute_time`` is a pure function of them, so
@@ -70,11 +59,6 @@ class Session:
         self._elementwise_cache: dict = {}
         self._seq_cache: dict = {}
         self._comm_cache: dict = {}
-
-    @property
-    def detail_events(self) -> bool:
-        """Whether per-event communication traces are being kept."""
-        return self.recorder.detail_events
 
     # -- structure ---------------------------------------------------------
     @contextmanager
@@ -285,12 +269,11 @@ class Session:
         detail: str = "",
         stages: Optional[int] = None,
         collisions: Optional[float] = None,
-    ) -> Optional[CommEvent]:
+    ) -> None:
         """Record one collective and charge its simulated time.
 
-        Returns the :class:`CommEvent` in trace mode
-        (``detail_events=True``); the aggregate-only fast path returns
-        ``None`` — the accounting is identical either way.
+        The collective adds to its region's ``(pattern, rank, detail)``
+        stream; ``nodes`` overrides the machine's node count for pricing.
         """
         n = nodes if nodes is not None else self.machine.nodes
         # Same per-stream memo idea as the elementwise pricing cache:
@@ -313,11 +296,10 @@ class Session:
             if len(self._comm_cache) < 4096:
                 self._comm_cache[key] = priced
         busy, idle = priced
-        return self.recorder.charge_comm(
+        self.recorder.charge_comm(
             pattern,
             bytes_network=bytes_network,
             bytes_local=bytes_local,
-            nodes=n,
             busy_time=busy,
             idle_time=idle,
             rank=rank,

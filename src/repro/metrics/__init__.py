@@ -11,7 +11,7 @@ local-memory-access classification.  This subpackage provides:
 * :mod:`repro.metrics.memory` — user-declared memory accounting and the
   paper's ``4(s)/8(d)`` size notation.
 * :mod:`repro.metrics.recorder` — the hierarchical region recorder that
-  accumulates FLOPs, communication events and simulated time.
+  accumulates FLOPs, communication and simulated time.
 * :mod:`repro.metrics.report` — :class:`PerfReport`, the per-benchmark
   output record mirroring the paper's reported metrics.
 """
@@ -27,13 +27,12 @@ from repro.metrics.flops import (
 )
 from repro.metrics.memory import MemoryLedger, TypeTag, format_bytes_symbolic
 from repro.metrics.patterns import CommPattern, PatternGroup
-from repro.metrics.recorder import CommEvent, MetricsRecorder, Region
+from repro.metrics.recorder import MetricsRecorder, Region
 from repro.metrics.report import PerfReport, SegmentReport
 
 __all__ = [
     "DEFAULT_ACCESS_PENALTY",
     "FLOP_COSTS",
-    "CommEvent",
     "CommPattern",
     "FlopCounter",
     "FlopKind",

@@ -13,11 +13,10 @@ Every region accumulates
   distinct ``(pattern, rank, detail)`` stream),
 * simulated compute time and communication busy/idle time.
 
-Communication is accounted in aggregate by default: each collective
-bumps an accumulator, and ``comm_busy`` / ``comm_idle`` are O(1)
-running sums.  Opening the recorder with ``detail_events=True`` (trace
-mode) additionally keeps the full per-event :class:`CommEvent` list for
-:mod:`repro.analysis.trace` — both modes report identical metrics.
+Communication is accounted in aggregate: each collective bumps its
+stream's accumulator, and ``comm_busy`` / ``comm_idle`` are O(1)
+running sums.  Per-event views of a run come from an observer such as
+:class:`repro.obs.SpanCollector`, which sees every collective.
 
 Busy time is the non-idle execution time (compute plus the
 bandwidth-bound portion of communication); elapsed time adds network
@@ -49,46 +48,16 @@ from repro.metrics.memory import MemoryLedger
 from repro.metrics.patterns import CommPattern
 
 
-@dataclass(frozen=True)
-class CommEvent:
-    """One collective-communication occurrence.
-
-    ``bytes_network`` counts bytes that cross node boundaries under the
-    array's layout; ``bytes_local`` counts intra-node data motion (e.g.
-    a cshift along a serial axis moves memory but no messages).
-    """
-
-    pattern: CommPattern
-    bytes_network: int
-    bytes_local: int = 0
-    nodes: int = 1
-    busy_time: float = 0.0
-    idle_time: float = 0.0
-    rank: Optional[int] = None
-    detail: str = ""
-
-    @property
-    def elapsed_time(self) -> float:
-        """Busy plus idle seconds."""
-        return self.busy_time + self.idle_time
-
-
 #: Accumulator key: one stream per ``(pattern, rank, detail)``.
 CommKey = Tuple[CommPattern, Optional[int], str]
 
 
-def _dropped_events_error(accessor: str, dropped: int) -> RuntimeError:
-    """Uniform error for per-event accessors hit on the fast path."""
-    return RuntimeError(
-        f"{accessor}: {dropped} communication event(s) were recorded in "
-        "aggregate-only mode and dropped; open the session in trace "
-        "mode with Session(detail_events=True) or "
-        "repro.sessions.trace_session() to keep per-event traces"
-    )
-
-
 class CommStats:
-    """Aggregated statistics for one ``(pattern, rank, detail)`` stream."""
+    """Aggregated statistics for one ``(pattern, rank, detail)`` stream.
+
+    :meth:`Region.comm_by_pattern` reuses it, with ``rank=None`` and
+    ``detail=""``, for the sum of all streams of one pattern.
+    """
 
     __slots__ = (
         "pattern",
@@ -128,19 +97,13 @@ class CommStats:
 class Region:
     """A named measurement region; nests to form a tree."""
 
-    def __init__(
-        self, name: str, iterations: int = 1, *, detail_events: bool = False
-    ) -> None:
+    def __init__(self, name: str, iterations: int = 1) -> None:
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         self.name = name
         self.iterations = iterations
-        self.detail_events = detail_events
         self.flops = FlopCounter()
         self.comm_stats: Dict[CommKey, CommStats] = {}
-        #: populated only when ``detail_events`` is set (trace mode);
-        #: read through the guarded :attr:`comm_events` property
-        self._events: List[CommEvent] = []
         self.compute_busy = 0.0
         self.children: List["Region"] = []
         self._comm_count = 0
@@ -161,13 +124,12 @@ class Region:
         *,
         bytes_network: int = 0,
         bytes_local: int = 0,
-        nodes: int = 1,
         busy_time: float = 0.0,
         idle_time: float = 0.0,
         rank: Optional[int] = None,
         detail: str = "",
-    ) -> Optional[CommEvent]:
-        """Account one collective; returns the event only in trace mode."""
+    ) -> None:
+        """Account one collective in its ``(pattern, rank, detail)`` stream."""
         key = (pattern, rank, detail)
         stats = self.comm_stats.get(key)
         if stats is None:
@@ -182,36 +144,8 @@ class Region:
         self._comm_idle += idle_time
         self._bytes_network += bytes_network
         self._bytes_local += bytes_local
-        if not self.detail_events:
-            return None
-        event = CommEvent(
-            pattern=pattern,
-            bytes_network=bytes_network,
-            bytes_local=bytes_local,
-            nodes=nodes,
-            busy_time=busy_time,
-            idle_time=idle_time,
-            rank=rank,
-            detail=detail,
-        )
-        self._events.append(event)
-        return event
 
     # -- local (exclusive of children) ---------------------------------
-    @property
-    def comm_events(self) -> List[CommEvent]:
-        """Per-event history of this region (exclusive; trace mode).
-
-        Raises if events were recorded but dropped because the recorder
-        ran on the aggregate-only fast path; the exception names the
-        exact flags (``Session(detail_events=True)`` /
-        ``repro.sessions.trace_session``) that retain them.
-        """
-        dropped = self._comm_count - len(self._events)
-        if dropped:
-            raise _dropped_events_error("Region.comm_events", dropped)
-        return self._events
-
     @property
     def comm_count(self) -> int:
         """Number of collectives recorded in this region (exclusive)."""
@@ -245,23 +179,6 @@ class Region:
         return sum(r._comm_count for r in self.walk())
 
     @property
-    def total_comm_events(self) -> List[CommEvent]:
-        """All communication events, including children's (trace mode).
-
-        Raises if events were dropped because the recorder ran in the
-        default aggregate-only fast path; open the session with
-        ``detail_events=True`` to retain per-event traces.
-        """
-        out: List[CommEvent] = []
-        dropped = 0
-        for r in self.walk():
-            out.extend(r._events)
-            dropped += r._comm_count - len(r._events)
-        if dropped:
-            raise _dropped_events_error("Region.total_comm_events", dropped)
-        return out
-
-    @property
     def busy_time(self) -> float:
         """Non-idle execution time: compute + bandwidth-bound comm."""
         return sum(r.compute_busy + r._comm_busy for r in self.walk())
@@ -276,15 +193,32 @@ class Region:
         """Total bytes crossing node boundaries."""
         return sum(r._bytes_network for r in self.walk())
 
-    def comm_counts(self) -> Dict[CommPattern, int]:
-        """Occurrences of each pattern within this region (inclusive)."""
-        counts: Dict[CommPattern, int] = {}
+    def comm_by_pattern(self) -> Dict[CommPattern, CommStats]:
+        """Per-pattern sums of every stream, children included.
+
+        Folds the regions depth-first and their streams in first-seen
+        order, so patterns keep first-seen order and float sums are
+        reproducible.  Each value is a :class:`CommStats` with
+        ``rank=None`` and ``detail=""``.
+        """
+        totals: Dict[CommPattern, CommStats] = {}
         for r in self.walk():
             for stats in r.comm_stats.values():
-                counts[stats.pattern] = (
-                    counts.get(stats.pattern, 0) + stats.count
-                )
-        return counts
+                agg = totals.get(stats.pattern)
+                if agg is None:
+                    agg = totals[stats.pattern] = CommStats(
+                        stats.pattern, None, ""
+                    )
+                agg.count += stats.count
+                agg.bytes_network += stats.bytes_network
+                agg.bytes_local += stats.bytes_local
+                agg.busy_time += stats.busy_time
+                agg.idle_time += stats.idle_time
+        return totals
+
+    def comm_counts(self) -> Dict[CommPattern, int]:
+        """Occurrences of each pattern within this region (inclusive)."""
+        return {p: s.count for p, s in self.comm_by_pattern().items()}
 
     def comm_counts_per_iteration(self) -> Dict[CommPattern, float]:
         """Pattern counts divided by this region's iteration count."""
@@ -311,25 +245,16 @@ class Region:
 
 @dataclass
 class MetricsRecorder:
-    """Accumulates metrics for one benchmark run.
-
-    ``detail_events=True`` (trace mode) retains the full per-event
-    :class:`CommEvent` lists on every region; the default fast path
-    keeps only the :class:`CommStats` accumulators, which carry all the
-    information the :class:`~repro.metrics.report.PerfReport` needs.
-    """
+    """Accumulates metrics for one benchmark run."""
 
     root: Region = field(default_factory=lambda: Region("benchmark"))
     memory: MemoryLedger = field(default_factory=MemoryLedger)
-    detail_events: bool = False
     #: Optional span observer (e.g. :class:`repro.obs.SpanCollector`).
     #: Observers are read-only listeners: they may not alter any
     #: accounting, so attaching one leaves every metric bit-identical.
     observer: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.detail_events:
-            self.root.detail_events = True
         self._stack: List[Region] = [self.root]
 
     @property
@@ -370,9 +295,7 @@ class MetricsRecorder:
             region = existing
             region.iterations += iterations
         else:
-            region = Region(
-                name, iterations, detail_events=self.detail_events
-            )
+            region = Region(name, iterations)
             parent.children.append(region)
         region.entries += 1
         self._stack.append(region)
@@ -432,24 +355,20 @@ class MetricsRecorder:
         *,
         bytes_network: int = 0,
         bytes_local: int = 0,
-        nodes: int = 1,
         busy_time: float = 0.0,
         idle_time: float = 0.0,
         rank: Optional[int] = None,
         detail: str = "",
-    ) -> Optional[CommEvent]:
+    ) -> None:
         """Account one collective in the current region.
 
         The single comm-accounting entry point: it updates the region
-        (``Region.add_comm``) and notifies the observer.  Returns the
-        :class:`CommEvent` only in trace mode, matching the session's
-        ``record_comm`` contract.
+        (``Region.add_comm``) and notifies the observer.
         """
-        event = self._stack[-1].add_comm(
+        self._stack[-1].add_comm(
             pattern,
             bytes_network=bytes_network,
             bytes_local=bytes_local,
-            nodes=nodes,
             busy_time=busy_time,
             idle_time=idle_time,
             rank=rank,
@@ -465,7 +384,6 @@ class MetricsRecorder:
                 idle_time=idle_time,
                 detail=detail,
             )
-        return event
 
     # -- convenience ----------------------------------------------------
     @property

@@ -23,7 +23,7 @@ laid out sequentially with children packed at their parent's start).
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.obs.spans import (
     CATEGORY_COMM_BUSY,

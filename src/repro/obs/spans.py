@@ -319,21 +319,19 @@ def _totals(root: Region) -> Dict[str, object]:
     """Scalar and per-pattern totals of a region tree.
 
     Scalars are the same depth-first sums ``Region.busy_time`` /
-    ``elapsed_time`` use; per-pattern count/bytes/busy/idle fold each
-    region's per-stream :class:`CommStats`.
+    ``elapsed_time`` use; per-pattern count/bytes/busy/idle come from
+    ``Region.comm_by_pattern``.
     """
     regions = list(root.walk())
-    patterns: Dict[str, Dict[str, float]] = {}
-    for region in regions:
-        for stats in region.comm_stats.values():
-            agg = patterns.setdefault(
-                stats.pattern.value,
-                {"count": 0, "bytes_network": 0, "busy_s": 0.0, "idle_s": 0.0},
-            )
-            agg["count"] += stats.count
-            agg["bytes_network"] += stats.bytes_network
-            agg["busy_s"] += stats.busy_time
-            agg["idle_s"] += stats.idle_time
+    patterns = {
+        pattern.value: {
+            "count": stats.count,
+            "bytes_network": stats.bytes_network,
+            "busy_s": stats.busy_time,
+            "idle_s": stats.idle_time,
+        }
+        for pattern, stats in root.comm_by_pattern().items()
+    }
     return {
         "busy_time_s": root.busy_time,
         "elapsed_time_s": root.elapsed_time,

@@ -1,19 +1,10 @@
 """One place to open execution sessions.
 
-Every consumer — examples, the benchmark harness, the CLI — used to
-spell ``Session(cm5(32))`` by hand, which made it easy for the
-``detail_events`` default to drift between them.  These helpers make
-the two modes explicit:
-
-* :func:`perf_session` — the aggregate-only fast path (the default):
-  communication is accounted in per-pattern accumulators, no per-event
-  list is kept.  Metrics are identical to trace mode; use this for
-  timing runs and table generation driven by :class:`PerfReport`.
-* :func:`trace_session` — trace mode (``detail_events=True``): every
-  :class:`~repro.metrics.recorder.CommEvent` is retained, as needed by
-  :mod:`repro.analysis.trace` and per-event inspection.
-
-:func:`open_session` is the common underlying constructor.
+Every consumer — examples, the benchmark harness, the CLI — builds its
+sessions through :func:`open_session`, so machine-preset resolution
+and tier parsing cannot drift between them.  A session accounts
+communication in per-``(pattern, rank, detail)`` streams; per-event
+views come from attaching a :class:`repro.obs.SpanCollector`.
 """
 
 from __future__ import annotations
@@ -24,7 +15,7 @@ from repro.machine.presets import resolve_machine
 from repro.machine.session import Session
 from repro.versions import VersionTier
 
-__all__ = ["open_session", "perf_session", "trace_session"]
+__all__ = ["open_session"]
 
 
 def open_session(
@@ -32,35 +23,10 @@ def open_session(
     nodes: Optional[int] = None,
     *,
     tier: Union[VersionTier, str] = VersionTier.BASIC,
-    detail_events: bool = False,
 ) -> Session:
     """Build a session on a named machine preset.
 
     ``nodes=None`` takes the preset's default size.  ``tier`` accepts
     the enum or its string value.
     """
-    return Session(
-        resolve_machine(machine, nodes),
-        tier=VersionTier(tier),
-        detail_events=detail_events,
-    )
-
-
-def perf_session(
-    machine: str = "cm5",
-    nodes: Optional[int] = None,
-    *,
-    tier: Union[VersionTier, str] = VersionTier.BASIC,
-) -> Session:
-    """Fast-path session: aggregate comm accounting, no event lists."""
-    return open_session(machine, nodes, tier=tier, detail_events=False)
-
-
-def trace_session(
-    machine: str = "cm5",
-    nodes: Optional[int] = None,
-    *,
-    tier: Union[VersionTier, str] = VersionTier.BASIC,
-) -> Session:
-    """Trace-mode session: keeps every CommEvent for analysis tools."""
-    return open_session(machine, nodes, tier=tier, detail_events=True)
+    return Session(resolve_machine(machine, nodes), tier=VersionTier(tier))

@@ -22,12 +22,6 @@ def single_node_session() -> Session:
 
 
 @pytest.fixture
-def trace_session() -> Session:
-    """A 32-node CM-5 session retaining the full per-event comm trace."""
-    return Session(cm5(32), detail_events=True)
-
-
-@pytest.fixture
 def session_factory():
     """Factory producing fresh CM-5 sessions (for suite runs)."""
     return lambda: Session(cm5(32))

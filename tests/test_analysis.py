@@ -1,13 +1,11 @@
 """Tests for the analysis package: ratios, comparisons, traces."""
 
-import json
-
 import pytest
 
-from repro import Session, cm5
+from repro import Session, cm5, workstation
 from repro.analysis.compare import compare_environments, find_crossover
 from repro.analysis.ratios import comm_to_comp_ratio, grain_size, pattern_mix
-from repro.analysis.trace import comm_trace, trace_summary, trace_to_json
+from repro.analysis.trace import trace_summary
 from repro.metrics.patterns import CommPattern
 from repro.suite import run_benchmark
 from repro.versions import VersionTier
@@ -111,30 +109,7 @@ class TestCompare:
 
 
 class TestTrace:
-    def test_trace_events(self, trace_session):
-        session = trace_session
-        run_benchmark("ellip-2d", session, nx=8)
-        events = comm_trace(session.recorder)
-        assert events
-        patterns = {e.pattern for e in events}
-        assert {"cshift", "reduction"} <= patterns
-        assert all(e.region.startswith("benchmark") for e in events)
-
-    def test_trace_region_paths(self, trace_session):
-        session = trace_session
-        run_benchmark("diff-3d", session, nx=8, steps=2)
-        events = comm_trace(session.recorder)
-        assert any("main_loop" in e.region for e in events)
-
-    def test_trace_json(self, trace_session):
-        session = trace_session
-        run_benchmark("fft", session, n=64)
-        data = json.loads(trace_to_json(session.recorder))
-        assert isinstance(data, list)
-        assert data[0]["pattern"] in ("cshift", "aapc", "butterfly")
-
-    def test_trace_summary_table(self, trace_session):
-        session = trace_session
+    def test_trace_summary_table(self, session):
         run_benchmark("qptransport", session, iterations=4)
         text = trace_summary(session.recorder)
         assert "scatter" in text
@@ -172,3 +147,14 @@ class TestBisectionBandwidth:
         fit = measure_bisection_bandwidth(cm5(16))
         assert fit.latency >= 0.0
         assert len(fit.sizes) == len(fit.elapsed) == len(fit.bytes_moved)
+
+    @pytest.mark.parametrize("machine", [workstation(), cm5(1)], ids=["workstation", "cm5-1"])
+    def test_single_node_rejected_before_sweep(self, machine, monkeypatch):
+        import repro.analysis.bandwidth as bandwidth
+
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("sweep ran on a single node")
+
+        monkeypatch.setattr(bandwidth, "run_benchmark", no_sweep)
+        with pytest.raises(ValueError, match="has 1"):
+            bandwidth.measure_bisection_bandwidth(machine)

@@ -244,41 +244,6 @@ class TestRC004:
         )
         assert lint_source(good, "fix.py") == []
 
-    def test_event_accessor_without_detail_guard(self):
-        bad = dedent(
-            """\
-            def report(recorder):
-                return len(recorder.root.comm_events)
-            """
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC004"]
-        f = findings[0]
-        assert ".comm_events" in f.message
-        assert "detail_events" in f.message
-
-    def test_event_accessor_with_guard_ok(self):
-        good = dedent(
-            """\
-            def report(recorder):
-                if not recorder.detail_events:
-                    return 0
-                return len(recorder.root.comm_events)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_trace_session_counts_as_guard(self):
-        good = dedent(
-            """\
-            def report():
-                with trace_session() as session:
-                    pass
-                return session.recorder.root.total_comm_events
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
 
 # ----------------------------------------------------------------------
 # RC005: fused-kernel parity

@@ -26,23 +26,20 @@ class TestGather:
         out = gather(src, (np.array([0, 1]), np.array([2, 0])))
         assert out.np.tolist() == [2, 3]
 
-    def test_records_pattern(self, trace_session):
-        session = trace_session
+    def test_records_pattern(self, session):
         src = from_numpy(session, np.arange(4.0), "(:)")
         gather(src, np.array([0]))
-        assert (
-            session.recorder.root.comm_events[-1].pattern is CommPattern.GATHER
-        )
+        (stats,) = session.recorder.root.comm_stats.values()
+        assert stats.pattern is CommPattern.GATHER
 
-    def test_collision_override_reduces_cost(self, trace_session):
-        session = trace_session
-        src = from_numpy(session, np.arange(1 << 12, dtype=float), "(:)")
-        idx = np.zeros(1 << 12, dtype=int)
-        gather(src, idx)
-        hot = session.recorder.root.comm_events[-1].busy_time
-        gather(src, idx, collisions=1.0)
-        clean = session.recorder.root.comm_events[-1].busy_time
-        assert clean < hot
+    def test_collision_override_reduces_cost(self):
+        def gather_busy(**kwargs):
+            session = Session(cm5(32))
+            src = from_numpy(session, np.arange(1 << 12, dtype=float), "(:)")
+            gather(src, np.zeros(1 << 12, dtype=int), **kwargs)
+            return session.recorder.root.comm_busy
+
+        assert gather_busy(collisions=1.0) < gather_busy()
 
 
 class TestGatherCombine:
@@ -88,20 +85,13 @@ class TestScatter:
         with pytest.raises(ValueError):
             scatter(dest, np.array([0]), vals, combine="xor")
 
-    def test_pattern_distinction(self, trace_session):
-        session = trace_session
+    def test_pattern_distinction(self, session):
         dest = zeros(session, (4,), "(:)")
         vals = from_numpy(session, np.ones(2), "(:)")
         scatter(dest, np.array([0, 1]), vals)
-        assert (
-            session.recorder.root.comm_events[-1].pattern
-            is CommPattern.SCATTER
-        )
         scatter(dest, np.array([0, 1]), vals, combine="add")
-        assert (
-            session.recorder.root.comm_events[-1].pattern
-            is CommPattern.SCATTER_COMBINE
-        )
+        patterns = [s.pattern for s in session.recorder.root.comm_stats.values()]
+        assert patterns == [CommPattern.SCATTER, CommPattern.SCATTER_COMBINE]
 
     def test_combine_charges_flops(self, session):
         dest = zeros(session, (4,), "(:)")

@@ -39,25 +39,25 @@ class TestCshift:
         x = from_numpy(session, np.arange(8.0), "(:)")
         assert np.array_equal(cshift(cshift(x, 3), -3).np, x.np)
 
-    def test_records_event_with_rank(self, trace_session):
-        session = trace_session
+    def test_records_event_with_rank(self, session):
         x = from_numpy(session, np.arange(8.0), "(:)")
         cshift(x, 1)
-        events = session.recorder.root.comm_events
-        assert events[-1].pattern is CommPattern.CSHIFT
-        assert events[-1].rank == 1
+        streams = session.recorder.root.comm_stats
+        key = (CommPattern.CSHIFT, 1, "axis=0, shift=1")
+        assert list(streams) == [key]
+        assert streams[key].count == 1
 
-    def test_serial_axis_no_network(self, trace_session):
-        session = trace_session
+    def test_serial_axis_no_network(self, session):
         x = from_numpy(session, np.arange(8.0).reshape(2, 4), "(:serial,:)")
         cshift(x, 1, axis=0)
-        assert session.recorder.root.comm_events[-1].bytes_network == 0
+        (stats,) = session.recorder.root.comm_stats.values()
+        assert stats.bytes_network == 0
 
-    def test_parallel_axis_network_traffic(self, trace_session):
-        session = trace_session
+    def test_parallel_axis_network_traffic(self, session):
         x = from_numpy(session, np.arange(64.0), "(:)")
         cshift(x, 1)
-        assert session.recorder.root.comm_events[-1].bytes_network > 0
+        (stats,) = session.recorder.root.comm_stats.values()
+        assert stats.bytes_network > 0
 
     def test_bad_axis_raises(self, session):
         x = from_numpy(session, np.arange(4.0), "(:)")
@@ -113,22 +113,17 @@ class TestSpreadBroadcast:
         out = spread(x, 0, 3, axis_kind=Axis.SERIAL)
         assert out.layout.axes[0] is Axis.SERIAL
 
-    def test_spread_records_event(self, trace_session):
-        session = trace_session
+    def test_spread_records_event(self, session):
         x = from_numpy(session, np.arange(16.0), "(:)")
         spread(x, 0, 4)
-        assert (
-            session.recorder.root.comm_events[-1].pattern is CommPattern.SPREAD
-        )
+        (stats,) = session.recorder.root.comm_stats.values()
+        assert stats.pattern is CommPattern.SPREAD
 
-    def test_broadcast_scalar(self, trace_session):
-        session = trace_session
+    def test_broadcast_scalar(self, session):
         out = broadcast(session, 3.5, (4, 4), "(:,:)")
         assert (out.np == 3.5).all()
-        assert (
-            session.recorder.root.comm_events[-1].pattern
-            is CommPattern.BROADCAST
-        )
+        (stats,) = session.recorder.root.comm_stats.values()
+        assert stats.pattern is CommPattern.BROADCAST
 
     def test_broadcast_vector_to_matrix(self, session):
         v = from_numpy(session, np.arange(3.0), "(:)")
@@ -207,13 +202,12 @@ class TestTransposeRemap:
         out = transpose(x)
         assert out.layout.axes == (Axis.PARALLEL, Axis.SERIAL)
 
-    def test_transpose_records_aapc(self, trace_session):
-        session = trace_session
+    def test_transpose_records_aapc(self, session):
         x = from_numpy(session, np.arange(16.0).reshape(4, 4), "(:,:)")
         transpose(x)
-        ev = session.recorder.root.comm_events[-1]
-        assert ev.pattern is CommPattern.AAPC
-        assert ev.bytes_network > 0
+        (stats,) = session.recorder.root.comm_stats.values()
+        assert stats.pattern is CommPattern.AAPC
+        assert stats.bytes_network > 0
 
     def test_bad_permutation_raises(self, session):
         x = from_numpy(session, np.arange(4.0).reshape(2, 2), "(:,:)")
@@ -252,8 +246,8 @@ class TestSendGet:
         send(x, np.array([0, 0, 2, 2]), vals, combine="add")
         assert x.np.tolist() == [2, 0, 2]
 
-    def test_get_records_event(self, trace_session):
-        session = trace_session
+    def test_get_records_event(self, session):
         x = from_numpy(session, np.arange(10.0), "(:)")
         get(x, np.array([1]))
-        assert session.recorder.root.comm_events[-1].pattern is CommPattern.GET
+        (stats,) = session.recorder.root.comm_stats.values()
+        assert stats.pattern is CommPattern.GET

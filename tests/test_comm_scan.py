@@ -40,11 +40,11 @@ class TestScan:
         with pytest.raises(ValueError):
             scan(x, "mean")
 
-    def test_records_scan_event(self, trace_session):
-        session = trace_session
+    def test_records_scan_event(self, session):
         x = from_numpy(session, np.ones(8), "(:)")
         scan(x, "sum")
-        assert session.recorder.root.comm_events[-1].pattern is CommPattern.SCAN
+        (stats,) = session.recorder.root.comm_stats.values()
+        assert stats.pattern is CommPattern.SCAN
 
     def test_charges_sequential_flops(self, session):
         x = from_numpy(session, np.ones(100), "(:)")

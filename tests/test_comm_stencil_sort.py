@@ -29,16 +29,10 @@ class TestStencilShifts:
         (ne,) = stencil_shifts(x, [(1, 1)])
         assert ne.np[0, 0] == x.np[1, 1]
 
-    def test_single_event_many_points(self, trace_session):
-        session = trace_session
+    def test_single_event_many_points(self, session):
         x = from_numpy(session, np.arange(27.0).reshape(3, 3, 3), "(:,:,:)")
         stencil_shifts(x, [(-1, 0, 0), (1, 0, 0), (0, -1, 0), (0, 1, 0)])
-        events = [
-            e
-            for e in session.recorder.root.comm_events
-            if e.pattern is CommPattern.STENCIL
-        ]
-        assert len(events) == 1
+        assert session.recorder.root.comm_counts()[CommPattern.STENCIL] == 1
 
     def test_unknown_boundary(self, session):
         x = from_numpy(session, np.arange(3.0), "(:)")
@@ -107,13 +101,12 @@ class TestSorting:
         x = from_numpy(session, np.array([[3.0, 1.0], [0.0, 2.0]]), "(:,:)")
         assert sort_array(x, axis=1).np.tolist() == [[1, 3], [0, 2]]
 
-    def test_records_sort_event(self, trace_session):
-        session = trace_session
+    def test_records_sort_event(self, session):
         x = from_numpy(session, np.arange(16.0)[::-1].copy(), "(:)")
         sort_array(x)
-        ev = session.recorder.root.comm_events[-1]
-        assert ev.pattern is CommPattern.SORT
-        assert ev.busy_time > 0
+        (stats,) = session.recorder.root.comm_stats.values()
+        assert stats.pattern is CommPattern.SORT
+        assert stats.busy_time > 0
 
     @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=100))
     @settings(max_examples=25, deadline=None)

@@ -77,38 +77,48 @@ class TestChargeReduction:
 
 
 class TestRecordComm:
-    def test_event_recorded_with_cost(self, trace_session):
-        session = trace_session
-        ev = session.record_comm(
+    def test_event_recorded_with_cost(self, session):
+        session.record_comm(
             CommPattern.CSHIFT, bytes_network=1 << 16, bytes_local=1 << 16
         )
-        assert ev.busy_time > 0
-        assert ev.idle_time > 0
-        assert session.recorder.root.comm_counts()[CommPattern.CSHIFT] == 1
+        machine = session.machine
+        cost = machine.network.cost(
+            CommPattern.CSHIFT, bytes_network=1 << 16, nodes=machine.nodes
+        )
+        root = session.recorder.root
+        assert cost.busy > 0
+        assert cost.idle > 0
+        assert root.comm_busy == cost.busy + machine.local_move_time(
+            (1 << 16) / machine.nodes
+        )
+        assert root.comm_idle == cost.idle
+        assert root.comm_counts()[CommPattern.CSHIFT] == 1
 
     def test_local_only_motion_on_single_node(self):
-        s = Session(workstation(), detail_events=True)
-        ev = s.record_comm(
-            CommPattern.CSHIFT, bytes_network=0, bytes_local=1 << 20
-        )
+        s = Session(workstation())
+        s.record_comm(CommPattern.CSHIFT, bytes_network=0, bytes_local=1 << 20)
         # Busy time from local memory motion, idle from startup.
-        assert ev.busy_time > 0
-        assert ev.idle_time > 0
+        assert s.recorder.root.comm_busy > 0
+        assert s.recorder.root.comm_idle > 0
 
-    def test_rank_and_detail_preserved(self, trace_session):
-        session = trace_session
-        ev = session.record_comm(
+    def test_rank_and_detail_preserved(self, session):
+        session.record_comm(
             CommPattern.GATHER, bytes_network=10, rank=3, detail="probe"
         )
-        assert ev.rank == 3
-        assert ev.detail == "probe"
+        assert list(session.recorder.root.comm_stats) == [
+            (CommPattern.GATHER, 3, "probe")
+        ]
 
-    def test_nodes_override(self, trace_session):
-        session = trace_session
-        ev = session.record_comm(
-            CommPattern.REDUCTION, bytes_network=4096, nodes=2
+    def test_nodes_override(self, session):
+        session.record_comm(CommPattern.REDUCTION, bytes_network=4096, nodes=2)
+        network = session.machine.network
+        two = network.cost(CommPattern.REDUCTION, bytes_network=4096, nodes=2)
+        full = network.cost(
+            CommPattern.REDUCTION, bytes_network=4096, nodes=session.nodes
         )
-        assert ev.nodes == 2
+        root = session.recorder.root
+        assert (root.comm_busy, root.comm_idle) == (two.busy, two.idle)
+        assert (two.busy, two.idle) != (full.busy, full.idle)
 
 
 class TestMemoryDeclaration:

@@ -10,7 +10,7 @@ from repro.metrics.recorder import MetricsRecorder, Region
 def _comm(target, pattern=CommPattern.CSHIFT, busy=1.0, idle=0.5, net=100):
     """Account one collective on a Region or a MetricsRecorder."""
     charge = target.add_comm if isinstance(target, Region) else target.charge_comm
-    return charge(pattern, bytes_network=net, busy_time=busy, idle_time=idle)
+    charge(pattern, bytes_network=net, busy_time=busy, idle_time=idle)
 
 
 class TestRegion:
@@ -59,41 +59,21 @@ class TestRegion:
         assert r.comm_idle == pytest.approx(0.75)
         assert r.comm_count == 3
 
-    def test_fast_path_keeps_no_events(self):
-        r = Region("r")
-        _comm(r)
-        assert r.comm_count == 1
-        # Both per-event accessors raise, and the message names the
-        # exact flags that would have retained the events.
-        with pytest.raises(RuntimeError) as exc:
-            r.comm_events
-        assert "Session(detail_events=True)" in str(exc.value)
-        assert "repro.sessions.trace_session" in str(exc.value)
-        with pytest.raises(RuntimeError) as exc:
-            r.total_comm_events
-        assert "Session(detail_events=True)" in str(exc.value)
-        assert "repro.sessions.trace_session" in str(exc.value)
-
-    def test_fast_path_empty_region_events_are_benign(self):
-        r = Region("r")
-        assert r.comm_events == []
-        assert r.total_comm_events == []
-
-    def test_detail_mode_keeps_events(self):
-        r = Region("r", detail_events=True)
-        ev = _comm(r)
-        assert r.comm_events == [ev]
-        assert r.total_comm_events == [ev]
-
-    def test_add_comm_returns_event_only_in_detail_mode(self):
-        fast = Region("fast")
-        assert fast.add_comm(CommPattern.CSHIFT, bytes_network=8) is None
-        detail = Region("detail", detail_events=True)
-        ev = detail.add_comm(CommPattern.CSHIFT, bytes_network=8, busy_time=1.0)
-        assert ev is not None and ev.bytes_network == 8
-        # Both modes account identically.
-        assert fast.network_bytes == detail.network_bytes == 8
-        assert fast.comm_counts() == detail.comm_counts()
+    def test_comm_by_pattern_folds_streams_and_children(self):
+        root = Region("root")
+        child = Region("child")
+        root.children.append(child)
+        root.add_comm(CommPattern.CSHIFT, bytes_network=8, busy_time=1.0, rank=1)
+        child.add_comm(
+            CommPattern.CSHIFT, bytes_network=4, bytes_local=2, idle_time=0.5, rank=2
+        )
+        child.add_comm(CommPattern.SCAN, bytes_network=1)
+        totals = root.comm_by_pattern()
+        assert list(totals) == [CommPattern.CSHIFT, CommPattern.SCAN]
+        cshift = totals[CommPattern.CSHIFT]
+        assert (cshift.count, cshift.bytes_network, cshift.bytes_local) == (2, 12, 2)
+        assert (cshift.busy_time, cshift.idle_time) == (1.0, 0.5)
+        assert (cshift.rank, cshift.detail) == (None, "")
 
     def test_comm_stats_streams_keyed_by_pattern_rank_detail(self):
         r = Region("r")

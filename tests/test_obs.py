@@ -41,7 +41,7 @@ from repro.obs.spans import CATEGORY_COMM_BUSY
 from repro.sessions import open_session
 from repro.suite import REGISTRY, run_benchmark
 
-from tests.test_fastpath_parity import SMALL_PARAMS
+from tests.test_report_digests import SMALL_PARAMS
 
 #: Benchmarks whose main loops carry session.iteration markers, with
 #: any parameter overrides needed to exercise a stepping variant

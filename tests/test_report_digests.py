@@ -1,14 +1,17 @@
-"""Golden parity: fast-path metrics == trace-mode metrics, suite-wide.
+"""Whole-report pins: every benchmark's report, byte for byte.
 
-The aggregate-only fast path (the `detail_events=False` default) must
-be observationally identical to trace mode for everything a
-:class:`PerfReport` captures — FLOP counts, per-pattern communication
-counts, bytes, busy/elapsed times, and memory.  Every registered
-benchmark is run once in each mode on identical parameters and the
-serialized reports are compared field-for-field after a
-``report_from_dict`` round-trip (which also pins the serialization
-itself).
+Every registered benchmark runs once at ``SMALL_PARAMS`` on a 32-node
+CM-5.  The SHA-256 of its canonical report JSON must equal the digest
+committed in ``tests/data/report_digests.json`` (the form
+``bench/data/digests.json`` uses), so any change to FLOP counts,
+per-pattern communication counts, bytes, busy/elapsed times or memory
+fails here.  A ``report_from_dict`` round trip must reproduce the same
+canonical JSON, which pins the serialization itself.
 """
+
+import hashlib
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -21,6 +24,10 @@ from repro.metrics.serialize import (
 )
 from repro.sessions import open_session
 from repro.suite import REGISTRY, run_benchmark
+
+DIGESTS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "report_digests.json").read_text()
+)
 
 # Small-but-representative sizes so the whole sweep stays fast while
 # every benchmark still exercises its main loop and comm patterns.
@@ -60,26 +67,22 @@ SMALL_PARAMS = {
 }
 
 
-def _run(name: str, detail_events: bool) -> dict:
-    session = open_session("cm5", 32, detail_events=detail_events)
-    report = run_benchmark(name, session, **SMALL_PARAMS.get(name, {}))
-    return report_to_dict(report)
-
-
 def test_every_registered_benchmark_is_covered():
-    assert set(SMALL_PARAMS) == set(REGISTRY)
+    assert set(SMALL_PARAMS) == set(REGISTRY) == set(DIGESTS)
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
-def test_fast_path_report_matches_detail_mode(name):
-    fast = _run(name, detail_events=False)
-    detail = _run(name, detail_events=True)
-    assert canonical_report_json(fast) == canonical_report_json(detail)
-    # Round-trip through report_from_dict: the reconstructed reports
-    # must themselves agree field-for-field.
-    r_fast = report_to_dict(report_from_dict(fast))
-    r_detail = report_to_dict(report_from_dict(detail))
-    assert canonical_report_json(r_fast) == canonical_report_json(r_detail)
+def test_report_matches_committed_digest(name):
+    record = report_to_dict(
+        run_benchmark(name, open_session("cm5", 32), **SMALL_PARAMS[name])
+    )
+    text = canonical_report_json(record)
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == DIGESTS[name], (
+        f"{name}: report changed; its new digest is {digest}"
+    )
+    roundtrip = report_to_dict(report_from_dict(record))
+    assert canonical_report_json(roundtrip) == text
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ byte-identical with the registry enabled and disabled for every
 registered benchmark.
 """
 
-import json
 import math
 import threading
 
@@ -34,7 +33,7 @@ from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.sessions import open_session
 from repro.suite import REGISTRY, run_benchmark
 
-from tests.test_fastpath_parity import SMALL_PARAMS
+from tests.test_report_digests import SMALL_PARAMS
 
 
 class TestRegistry:
