@@ -25,41 +25,54 @@ from repro.metrics.flops import FlopKind
 
 
 class _Operator:
-    """Constant-coefficient nonsymmetric 7-point operator, periodic."""
+    """Constant-coefficient nonsymmetric 7-point operator, periodic.
 
-    def __init__(self, session: Session, shape, diag=7.0, eps=0.25) -> None:
+    The operator owns one shift buffer and one term buffer, allocated
+    from the template operand ``like`` (so an audited payload stays
+    audited), and writes each stencil into an output the caller
+    passes in: applying it allocates nothing.
+    """
+
+    def __init__(
+        self, session: Session, like: DistArray, diag=7.0, eps=0.25
+    ) -> None:
         self.session = session
-        self.layout = parse_layout("(:,:,:)", shape)
+        self.layout = like.layout
         self.diag = diag
         # Asymmetric fore/aft couplings per axis.
         self.lo = (-1.0 - eps, -1.0 - eps / 2, -1.0 - eps / 4)
         self.hi = (-1.0 + eps, -1.0 + eps / 2, -1.0 + eps / 4)
+        self._shifted = DistArray(np.empty_like(like.data), like.layout, session)
+        self._term = np.empty_like(like.data)
 
-    def _stencil(self, p: DistArray, transposed: bool) -> DistArray:
-        """7-point stencil application: 6 CSHIFTs, 13 FLOPs/point."""
+    def _stencil(self, p: DistArray, out: DistArray, transposed: bool) -> DistArray:
+        """7-point stencil application into ``out``: 6 CSHIFTs, 13 FLOPs/point."""
         session = self.session
         lo = self.hi if transposed else self.lo
         hi = self.lo if transposed else self.hi
-        out = self.diag * p.data
+        shifted, term, acc = self._shifted, self._term, out.data
+        # Same products and additions in the same order as
+        # ``out = diag*p + lo*pm + hi*pp`` per axis (bit-identical),
+        # with every temporary in a buffer the operator owns.
+        np.multiply(self.diag, p.data, out=acc)
         for axis in range(3):
-            pm = cshift(p, -1, axis=axis)
-            pp = cshift(p, +1, axis=axis)
-            # In-place accumulation: same additions in the same order
-            # as ``out = out + lo*pm + hi*pp`` (bit-identical), minus
-            # two full-grid temporaries per axis.
-            out += lo[axis] * pm.data
-            out += hi[axis] * pp.data
+            cshift(p, -1, axis=axis, out=shifted)
+            np.multiply(lo[axis], shifted.data, out=term)
+            np.add(acc, term, out=acc)
+            cshift(p, +1, axis=axis, out=shifted)
+            np.multiply(hi[axis], shifted.data, out=term)
+            np.add(acc, term, out=acc)
         session.charge_elementwise(FlopKind.MUL, p.layout, ops_per_element=7)
         session.charge_elementwise(FlopKind.ADD, p.layout, ops_per_element=6)
-        return DistArray(out, p.layout, session)
+        return out
 
-    def apply(self, p: DistArray) -> DistArray:
-        """Apply A (forward stencil)."""
-        return self._stencil(p, transposed=False)
+    def apply(self, p: DistArray, out: DistArray) -> DistArray:
+        """Write A p (forward stencil) into ``out``."""
+        return self._stencil(p, out, transposed=False)
 
-    def apply_t(self, p: DistArray) -> DistArray:
-        """Apply A^T (transposed stencil)."""
-        return self._stencil(p, transposed=True)
+    def apply_t(self, p: DistArray, out: DistArray) -> DistArray:
+        """Write A^T p (transposed stencil) into ``out``."""
+        return self._stencil(p, out, transposed=True)
 
     def dense(self) -> np.ndarray:
         """Dense matrix form for verification."""
@@ -94,10 +107,10 @@ def run(
     ny = nx if ny is None else ny
     nz = nx if nz is None else nz
     shape = (nx, ny, nz)
-    op = _Operator(session, shape)
-    layout = op.layout
+    layout = parse_layout("(:,:,:)", shape)
     rng = np.random.default_rng(seed)
     f = DistArray(rng.standard_normal(shape), layout, session, "f")
+    op = _Operator(session, f)
     # Table 6 memory: 60 n bytes single ~ x, r, s, p, q, f and the
     # coefficient bookkeeping.
     for name in ("f", "x", "r", "s", "p", "q"):
@@ -107,24 +120,45 @@ def run(
         max_iter = 10 * nx * ny * nz
     x = DistArray(np.zeros(shape), layout, session, "x")
     r = f.copy("r")
-    s = op.apply_t(r)
+    # The solve's vectors and one work array live for the whole solve.
+    # Each update below is the operator expression in the comment
+    # beside it, spelled with numpy ``out=`` in the same operand order
+    # and charged with the same FLOP kinds in the same order.
+    s = op.apply_t(r, DistArray(np.empty_like(f.data), layout, session, "s"))
     p = s.copy("p")
-    gamma = reduce_array(s * s, "sum")
+    q = DistArray(np.empty_like(f.data), layout, session, "q")
+    work = DistArray(np.empty_like(f.data), layout, session)
+    np.multiply(s.data, s.data, out=work.data)  # s * s
+    session.charge_elementwise(FlopKind.MUL, layout)
+    gamma = reduce_array(work, "sum")
     it = 0
     res = float(np.sqrt(gamma))
     with session.region("main_loop", iterations=1) as region:
         while it < max_iter and res > tol:
-            q = op.apply(p)  # stencil 1: 6 CSHIFTs
-            qq = reduce_array(q * q, "sum")  # Reduction 1
+            op.apply(p, q)  # stencil 1: 6 CSHIFTs
+            np.multiply(q.data, q.data, out=work.data)  # q * q
+            session.charge_elementwise(FlopKind.MUL, layout)
+            qq = reduce_array(work, "sum")  # Reduction 1
             alpha = gamma / qq
             session.recorder.charge_flops(FlopKind.DIV, 1)
-            x += alpha * p
-            r -= alpha * q
-            s = op.apply_t(r)  # stencil 2: 6 CSHIFTs
-            gamma_new = reduce_array(s * s, "sum")  # Reduction 2
+            np.multiply(alpha, p.data, out=work.data)  # x += alpha * p
+            session.charge_elementwise(FlopKind.MUL, layout)
+            np.add(x.data, work.data, out=x.data)
+            session.charge_elementwise(FlopKind.ADD, layout)
+            np.multiply(alpha, q.data, out=work.data)  # r -= alpha * q
+            session.charge_elementwise(FlopKind.MUL, layout)
+            np.subtract(r.data, work.data, out=r.data)
+            session.charge_elementwise(FlopKind.SUB, layout)
+            op.apply_t(r, s)  # stencil 2: 6 CSHIFTs
+            np.multiply(s.data, s.data, out=work.data)  # s * s
+            session.charge_elementwise(FlopKind.MUL, layout)
+            gamma_new = reduce_array(work, "sum")  # Reduction 2
             beta = gamma_new / gamma
             session.recorder.charge_flops(FlopKind.DIV, 1)
-            p = s + beta * p
+            np.multiply(beta, p.data, out=work.data)  # p = s + beta * p
+            session.charge_elementwise(FlopKind.MUL, layout)
+            np.add(s.data, work.data, out=p.data)
+            session.charge_elementwise(FlopKind.ADD, layout)
             gamma = gamma_new
             res = float(np.sqrt(gamma_new))
             session.recorder.charge_flops(FlopKind.SQRT, 1)

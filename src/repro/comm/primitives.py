@@ -24,15 +24,22 @@ def _normalize_axis(axis: int, ndim: int) -> int:
 # ----------------------------------------------------------------------
 # Shifts
 # ----------------------------------------------------------------------
-def cshift(x: DistArray, shift: int, axis: int = 0) -> DistArray:
+def cshift(
+    x: DistArray, shift: int, axis: int = 0, out: Optional[DistArray] = None
+) -> DistArray:
     """Circular shift: ``result(i) = x(i + shift)`` along ``axis``.
 
     Matches CMF/F90 ``CSHIFT(ARRAY, SHIFT, DIM)`` semantics.  On a
     distributed axis this is a NEWS-neighbor exchange; on a serial axis
     it is purely local data motion (no network traffic).
+
+    ``out``, if given, is a ``DistArray`` of ``x``'s shape and dtype
+    that shares no memory with ``x`` (``ValueError`` otherwise); the
+    shifted data is written into it and ``out`` is returned.  The comm
+    record is the same with or without it.
     """
     axis = _normalize_axis(axis, x.ndim)
-    result = fast_roll(x.data, -shift, axis)
+    result = fast_roll(x.data, -shift, axis, None if out is None else out.data)
     itemsize = x.data.itemsize
     net = x.layout.shift_network_elements(x.session.nodes, axis, shift) * itemsize
     x.session.record_comm(
@@ -42,6 +49,8 @@ def cshift(x: DistArray, shift: int, axis: int = 0) -> DistArray:
         rank=x.ndim,
         detail=f"axis={axis}, shift={shift}",
     )
+    if out is not None:
+        return out
     return DistArray(result, x.layout, x.session)
 
 

@@ -382,6 +382,7 @@ class MetricsRecorder:
                 bytes_local=bytes_local,
                 busy_time=busy_time,
                 idle_time=idle_time,
+                rank=rank,
                 detail=detail,
             )
 

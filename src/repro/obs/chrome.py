@@ -142,6 +142,8 @@ def chrome_trace(
             args["bytes_network"] = sl.bytes_network
         if sl.bytes_local:
             args["bytes_local"] = sl.bytes_local
+        if sl.rank is not None:
+            args["rank"] = sl.rank
         if sl.detail:
             args["detail"] = sl.detail
         events.append(

@@ -72,6 +72,8 @@ class Slice:
     bytes_local: int = 0
     #: communication pattern value (comm slices)
     pattern: Optional[str] = None
+    #: array rank of the collective's stream (comm slices)
+    rank: Optional[int] = None
     detail: str = ""
 
     @property
@@ -245,6 +247,7 @@ class SpanCollector:
         bytes_local: int = 0,
         busy_time: float = 0.0,
         idle_time: float = 0.0,
+        rank: Optional[int] = None,
         detail: str = "",
     ) -> None:
         start = self.now
@@ -258,6 +261,7 @@ class SpanCollector:
                 bytes_network=bytes_network,
                 bytes_local=bytes_local,
                 pattern=pattern.value,
+                rank=rank,
                 detail=detail,
             )
         )
@@ -270,6 +274,7 @@ class SpanCollector:
                     start=busy_end,
                     end=end,
                     pattern=pattern.value,
+                    rank=rank,
                     detail=detail,
                 )
             )

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Session, cm5
 from repro.array import from_numpy
+from repro.array.roll import fast_roll
 from repro.comm.primitives import (
     broadcast,
     cshift,
@@ -63,6 +64,52 @@ class TestCshift:
         x = from_numpy(session, np.arange(4.0), "(:)")
         with pytest.raises(ValueError):
             cshift(x, 1, axis=2)
+
+    def test_out_records_the_same_stream(self):
+        """``out=`` changes where the data lands, not what is recorded."""
+
+        def shift(with_out):
+            session = Session(cm5(32))
+            x = from_numpy(session, np.arange(96.0).reshape(12, 8), "(:,:)")
+            out = None
+            if with_out:
+                out = from_numpy(session, np.zeros((12, 8)), "(:,:)")
+            result = cshift(x, 3, axis=0, out=out)
+            assert (result is out) == with_out
+            streams = {
+                key: (st.count, st.bytes_network, st.bytes_local,
+                      st.busy_time, st.idle_time)
+                for key, st in session.recorder.root.comm_stats.items()
+            }
+            return result.np.copy(), streams
+
+        plain_data, plain_streams = shift(with_out=False)
+        out_data, out_streams = shift(with_out=True)
+        np.testing.assert_array_equal(out_data, plain_data)
+        assert out_streams == plain_streams
+        ((key, (count, net, _, busy, _)),) = plain_streams.items()
+        assert key == (CommPattern.CSHIFT, 2, "axis=0, shift=3")
+        assert count == 1 and net > 0 and busy > 0
+
+    def test_out_sharing_memory_with_input_raises(self, session):
+        # np.concatenate into a buffer that aliases its input would
+        # corrupt the result silently, so the shift refuses it.
+        x = from_numpy(session, np.arange(8.0), "(:)")
+        with pytest.raises(ValueError, match="share memory"):
+            cshift(x, 1, out=x)
+        assert not session.recorder.root.comm_stats
+        buf = np.arange(16.0)
+        with pytest.raises(ValueError, match="share memory"):
+            fast_roll(buf[:8], 1, out=buf[4:12])
+        with pytest.raises(ValueError, match="share memory"):
+            fast_roll(buf[:8], 0, out=buf[:8])
+
+    def test_out_of_another_shape_or_dtype_raises(self):
+        data = np.arange(8.0)
+        with pytest.raises(ValueError):
+            fast_roll(data, 1, out=np.empty(9))
+        with pytest.raises(ValueError):
+            fast_roll(data, 1, out=np.empty(8, dtype=np.float32))
 
     @given(
         n=st.integers(2, 64),

@@ -15,9 +15,12 @@ attached, equals the summary of the same run observed.
 
 import json
 
+import numpy as np
 import pytest
 
+from repro.array import from_numpy
 from repro.cli import main
+from repro.comm.primitives import cshift
 from repro.engine import Engine, EngineConfig, RunRequest, RunStore, plan_suite
 from repro.engine.jobs import execute_request
 from repro.engine.pool import _worker_run
@@ -237,6 +240,25 @@ class TestSpanCollector:
         assert busy[0].pattern == CommPattern.CSHIFT.value
         assert busy[0].bytes_network == 64
         assert busy[0].duration == 0.5
+
+    def test_comm_slices_carry_the_stream_rank(self):
+        # The report keys comm streams by (pattern, rank, detail); a
+        # shift of a rank-1 and of a rank-2 array share pattern and
+        # detail, so only the rank tells their slices apart.
+        session = open_session()
+        collector = SpanCollector().attach(session)
+        cshift(from_numpy(session, np.arange(8.0), "(:)"), 1)
+        cshift(from_numpy(session, np.arange(16.0).reshape(4, 4), "(:,:)"), 1)
+        collector.finalize()
+        busy = [s for s in collector.slices if s.category == CATEGORY_COMM_BUSY]
+        assert [(s.detail, s.rank) for s in busy] == [
+            ("axis=0, shift=1", 1),
+            ("axis=0, shift=1", 2),
+        ]
+        events = chrome_trace(collector)["traceEvents"]
+        assert [
+            e["args"]["rank"] for e in events if e.get("cat") == CATEGORY_COMM_BUSY
+        ] == [1, 2]
 
     def test_pattern_attribution_matches_recorder(self):
         session = open_session()

@@ -94,12 +94,17 @@ def test_fast_roll_matches_np_roll(shape, dtype):
 
     ``fast_roll`` replaces ``np.roll`` on every comm-primitive and app
     hot path, so it must agree element-for-element across shapes,
-    axes, dtypes, zero-length axes and out-of-range/negative shifts.
+    axes, dtypes, zero-length axes and out-of-range/negative shifts,
+    whether it allocates the result or writes it into ``out=``.
     """
     rng = np.random.default_rng(len(shape))
     data = rng.standard_normal(shape).astype(dtype)
     for axis in range(len(shape)):
         for shift in (-7, -1, 0, 1, 2, 5, 12):
+            expected = np.roll(data, shift, axis=axis)
             got = fast_roll(data, shift, axis=axis)
-            np.testing.assert_array_equal(got, np.roll(data, shift, axis=axis))
+            np.testing.assert_array_equal(got, expected)
             assert got is not data  # fresh array, like np.roll
+            out = np.full_like(data, 9)
+            assert fast_roll(data, shift, axis=axis, out=out) is out
+            np.testing.assert_array_equal(out, expected)
