@@ -23,17 +23,7 @@ Quickstart::
     print(report.summary())
 """
 
-from repro.array import (
-    DistArray,
-    axpy,
-    fma,
-    from_numpy,
-    linear_combine,
-    ones,
-    scale_add,
-    stencil_combine,
-    zeros,
-)
+from repro.array import DistArray, from_numpy, ones, zeros
 from repro.layout import Axis, Layout, parse_layout
 from repro.machine import MachineModel, Session, cm5, cm5e, generic_cluster, workstation
 from repro.sessions import open_session
@@ -63,19 +53,14 @@ __all__ = [
     "TypeTag",
     "VersionTier",
     "__version__",
-    "axpy",
     "cm5",
     "cm5e",
-    "fma",
     "from_numpy",
     "generic_cluster",
-    "linear_combine",
     "ones",
     "open_session",
     "parse_layout",
     "run_benchmark",
-    "scale_add",
-    "stencil_combine",
     "workstation",
     "zeros",
 ]

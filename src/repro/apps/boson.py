@@ -123,9 +123,12 @@ def run(
                     # Space coupling: -K delta * (sum of 4 neighbours).
                     - K * delta * neigh
                 )
-                session.charge_elementwise_seq(
-                    ((FlopKind.MUL, 12, False), (FlopKind.ADD, 12, False)),
-                    layout,
+                session.charge_elementwise(
+                    FlopKind.MUL, layout, ops_per_element=12,
+                    access=LocalAccess.STRIDED,
+                )
+                session.charge_elementwise(
+                    FlopKind.ADD, layout, ops_per_element=12,
                     access=LocalAccess.STRIDED,
                 )
                 # Metropolis acceptance (exp charged at 8 FLOPs).

@@ -18,7 +18,6 @@ import numpy as np
 
 from repro.apps.base import AppResult
 from repro.array.distarray import DistArray
-from repro.array.fused import stencil_combine
 from repro.comm.stencil import stencil_shifts
 from repro.layout.spec import parse_layout
 from repro.linalg.pcr import pcr_solve
@@ -60,9 +59,8 @@ def run(
             with session.iteration(step):
                 # Explicit half: one 3-point stencil (array sections).
                 um, uc, up_ = stencil_shifts(u, [-1, 0, 1], boundary="periodic")
-                # rhs = uc + scale * (um - 2*uc + up), fused (scale = 0.5*r)
                 scale = 0.5 * r
-                rhs = stencil_combine(uc, um, up_, scale)
+                rhs = uc + scale * (um - 2.0 * uc + up_)
                 # 13 n_x FLOPs per iteration: the stencil combine above
                 # charges 5 n (2 mul + 3 add/sub); the solve charges the rest.
                 f = DistArray(

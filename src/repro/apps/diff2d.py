@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.apps.base import AppResult
 from repro.array.distarray import DistArray
-from repro.array.fused import stencil_combine
 from repro.comm.primitives import transpose
 from repro.comm.stencil import stencil_shifts
 from repro.layout.spec import parse_layout
@@ -73,9 +72,8 @@ def run(
             with session.iteration(step):
                 # Explicit 3-point stencil along the parallel axis.
                 um, uc, up = stencil_shifts(u, [(0, -1), (0, 0), (0, 1)])
-                # rhs = uc + scale * (um - 2*uc + up), fused (scale = 0.5*r)
                 scale = 0.5 * r
-                rhs = stencil_combine(uc, um, up, scale)
+                rhs = uc + scale * (um - 2.0 * uc + up)
                 # Implicit Thomas sweeps along the serial axis.
                 ux = _thomas_local(session, rhs.data, r, layout)
                 # AAPC: rotate sweep direction for the next half-step.  The

@@ -101,17 +101,17 @@ def run(
             # corrector: 8 one-dimensional FFTs in all per step.
             f1 = _spectral_rhs(u_hat)  # FFTs 1-2
             mid = DistArray(u_hat.data + dt * f1.data, layout, session)
-            session.charge_elementwise_seq(
-                ((FlopKind.MUL, 1, True), (FlopKind.ADD, 1, True)),
-                layout,
-            )
+            session.charge_elementwise(FlopKind.MUL, layout, complex_valued=True)
+            session.charge_elementwise(FlopKind.ADD, layout, complex_valued=True)
             f2 = _spectral_rhs(mid)  # FFTs 3-4
             u_hat = DistArray(
                 u_hat.data + 0.5 * dt * (f1.data + f2.data), layout, session
             )
-            session.charge_elementwise_seq(
-                ((FlopKind.MUL, 2, True), (FlopKind.ADD, 2, True)),
-                layout,
+            session.charge_elementwise(
+                FlopKind.MUL, layout, ops_per_element=2, complex_valued=True
+            )
+            session.charge_elementwise(
+                FlopKind.ADD, layout, ops_per_element=2, complex_valued=True
             )
             # De-aliasing pass: forward/inverse pair enforcing the
             # 2/3-rule mask (FFTs 5-8: one round trip of u and one of

@@ -100,10 +100,9 @@ def run(
                 # --- diffuse: gaussian moves on every coordinate ---
                 R = R + np.sqrt(dt) * rng.standard_normal(R.shape)
                 # Box-Muller arithmetic: ~ (8+2) FLOPs per coordinate.
-                session.charge_elementwise_seq(
-                    ((FlopKind.LOG, 1, False), (FlopKind.MUL, 2, False)),
-                    coord_layout,
-                    access=LocalAccess.DIRECT,
+                session.charge_elementwise(FlopKind.LOG, coord_layout)
+                session.charge_elementwise(
+                    FlopKind.MUL, coord_layout, ops_per_element=2
                 )
                 # SPREAD 3-D to 1-D: the per-dimension diffusion scale
                 # broadcast across walkers.
@@ -122,9 +121,9 @@ def run(
                     n_p * n_d, n_w * n_e, layout=coord_layout
                 )
                 w = np.exp(-dt * (e_loc - e_ref[None, :]))
-                session.charge_elementwise_seq(
-                    ((FlopKind.EXP, 1, False), (FlopKind.SUB, 2, False)),
-                    walker_layout,
+                session.charge_elementwise(FlopKind.EXP, walker_layout)
+                session.charge_elementwise(
+                    FlopKind.SUB, walker_layout, ops_per_element=2
                 )
                 w = np.where(alive, w, 0.0)
                 # Mixed estimator over the pre-branching weights.

@@ -52,10 +52,8 @@ def _stencil16(field: DistArray, coeff_x: float, coeff_y: float) -> DistArray:
             cur = cshift(cur, +1, axis=0)
             offset += 1
         acc += coeff_x * _D4[tap] * cur.data
-        session.charge_elementwise_seq(
-            ((FlopKind.MUL, 1, False), (FlopKind.ADD, 1, False)),
-            field.layout,
-        )
+        session.charge_elementwise(FlopKind.MUL, field.layout)
+        session.charge_elementwise(FlopKind.ADD, field.layout)
     # Axis-1 arm: from (+2, 0) walk back to centre (2 shifts charged in
     # the chain) then out along axis 1.
     cur = cshift(cur, -1, axis=0)
@@ -68,10 +66,8 @@ def _stencil16(field: DistArray, coeff_x: float, coeff_y: float) -> DistArray:
             cur = cshift(cur, step, axis=1)
         offset = tap
         acc += coeff_y * _D4[tap] * cur.data
-        session.charge_elementwise_seq(
-            ((FlopKind.MUL, 1, False), (FlopKind.ADD, 1, False)),
-            field.layout,
-        )
+        session.charge_elementwise(FlopKind.MUL, field.layout)
+        session.charge_elementwise(FlopKind.ADD, field.layout)
     # Restore the running buffer to centre alignment for the next
     # stencil in the chain (2 shifts): 16 CSHIFTs per stencil in all.
     cur = cshift(cur, -1, axis=1)

@@ -41,24 +41,22 @@ _DISS_WEIGHTS = {
     6: 1.0,
 }
 
-#: per-step accounting of the dissipation filter: one MUL for the
-#: center tap, then MUL + 2 ADDs per distance d = 1..6 — the exact
-#: charge sequence of the spelled-out ``filt + w*(um + up)`` chain
-_FILTER_STEPS = ((FlopKind.MUL, 1, False),) + 6 * (
-    (FlopKind.MUL, 1, False),
-    (FlopKind.ADD, 2, False),
-)
+#: per-step ``(kind, ops_per_element)`` charges of the dissipation
+#: filter: one MUL for the center tap, then MUL + 2 ADDs per distance
+#: d = 1..6 — the exact charge sequence of the spelled-out
+#: ``filt + w*(um + up)`` chain
+_FILTER_STEPS = ((FlopKind.MUL, 1),) + 6 * ((FlopKind.MUL, 1), (FlopKind.ADD, 2))
 
 #: leapfrog update ``2u - u_prev + dt^2*(c^2*uxx) - eps*filt``:
 #: MUL, SUB, MUL, MUL, ADD, MUL, SUB in expression-evaluation order
-_LEAPFROG_STEPS = (
-    (FlopKind.MUL, 1, False),
-    (FlopKind.SUB, 1, False),
-    (FlopKind.MUL, 1, False),
-    (FlopKind.MUL, 1, False),
-    (FlopKind.ADD, 1, False),
-    (FlopKind.MUL, 1, False),
-    (FlopKind.SUB, 1, False),
+_LEAPFROG_KINDS = (
+    FlopKind.MUL,
+    FlopKind.SUB,
+    FlopKind.MUL,
+    FlopKind.MUL,
+    FlopKind.ADD,
+    FlopKind.MUL,
+    FlopKind.SUB,
 )
 
 
@@ -133,8 +131,9 @@ def run(
                 np.add(um.data, up.data, out=tmp)
                 np.multiply(tmp, _DISS_WEIGHTS[d], out=tmp)
                 np.add(filt, tmp, out=filt)
-            session.charge_elementwise_seq(_FILTER_STEPS, layout)
-            # Leapfrog update with variable coefficients, fused:
+            for kind, ops in _FILTER_STEPS:
+                session.charge_elementwise(kind, layout, ops_per_element=ops)
+            # Leapfrog update with variable coefficients, in place:
             # u_next = 2u - u_prev + dt^2 * (c^2 * uxx) - eps * filt.
             acc = np.multiply(u.data, 2.0)
             np.subtract(acc, u_prev.data, out=acc)
@@ -143,7 +142,8 @@ def run(
             np.add(acc, uxx.data, out=acc)
             np.multiply(filt, epsilon, out=tmp)
             np.subtract(acc, tmp, out=acc)
-            session.charge_elementwise_seq(_LEAPFROG_STEPS, layout)
+            for kind in _LEAPFROG_KINDS:
+                session.charge_elementwise(kind, layout)
             u_next = DistArray(acc, layout, session)
             u_prev, u = u, u_next
     energy1 = _energy(u.np, u_prev.np, c2, dt, h)

@@ -26,29 +26,17 @@ from repro.array.creation import (
     random_uniform,
     zeros,
 )
-from repro.array.fused import (
-    axpy,
-    fma,
-    linear_combine,
-    scale_add,
-    stencil_combine,
-)
 from repro.array.masks import merge, where
 
 __all__ = [
     "DistArray",
     "arange",
-    "axpy",
     "empty",
-    "fma",
     "from_numpy",
     "full",
-    "linear_combine",
     "merge",
     "ones",
     "random_uniform",
-    "scale_add",
-    "stencil_combine",
     "where",
     "zeros",
 ]

@@ -12,10 +12,9 @@ latent paper-fidelity bug, with two cooperating layers:
 * :mod:`repro.check.lint` — a static AST linter, run over the
   benchmark, collective-library and serving sources through a
   module-level call graph (:mod:`repro.check.callgraph`): accounting
-  rules RC001-RC007 (uncharged compute, charge-kind mismatch, comm
-  without record, session misuse, fused-kernel parity, dangling
-  spans, unfused hot-loop charges) with interprocedural charge
-  scopes, RC008 communication-pattern conformance against the
+  rules RC001-RC004 and RC006 (uncharged compute, charge-kind
+  mismatch, comm without record, session misuse, dangling spans)
+  with interprocedural charge scopes, RC008 communication-pattern conformance against the
   registry (:mod:`repro.check.inventory`), and the RC101-RC104
   concurrency family for the async serving stack
   (:mod:`repro.check.concurrency`).  Results export to SARIF 2.1.0

@@ -1,10 +1,10 @@
 """Module-level call graph with per-function summaries.
 
-PRs 1-8 grew helpers everywhere — collective primitives, fused
-kernels, engine plumbing — and the per-function linter's taint model
-deliberately stopped at call boundaries ("helpers are charged by
-their callers").  That convention is only sound if *somebody* in the
-call chain charges; this module is how the linter checks the chain.
+Helpers are everywhere — collective primitives, engine plumbing —
+and the per-function linter's taint model deliberately stops at call
+boundaries ("helpers are charged by their callers").  That convention
+is only sound if *somebody* in the call chain charges; this module is
+how the linter checks the chain.
 
 The graph is built once per lint run over every file in scope:
 

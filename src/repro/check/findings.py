@@ -18,15 +18,9 @@ RULES: Dict[str, str] = {
     "record_comm and no collective-library call",
     "RC004": "session misuse: reused session, or region not used as a "
     "context manager",
-    "RC005": "fused-kernel parity: a repro.array.fused call whose "
-    "documented operator expression disagrees with the kernel's "
-    "charged FLOP-kind sequence",
     "RC006": "dangling span: session.iteration(...) never entered "
     "with 'with', or an iteration span opened outside the function's "
     "own region scope",
-    "RC007": "unfused hot-loop charges: consecutive per-element "
-    "charge_elementwise calls on one layout inside a loop body — "
-    "fuse into a single charge_elementwise_seq call",
     "RC008": "pattern conformance: the communication patterns "
     "statically reachable from an app runner disagree with the "
     "registry's declared comm_patterns/comm_extras inventory",

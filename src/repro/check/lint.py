@@ -20,7 +20,6 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 from typing import (
-    Dict,
     Iterable,
     Iterator,
     List,
@@ -68,10 +67,9 @@ def _iter_functions(
 
 def _parse_units(
     sources: Sequence[Tuple[str, str]],
-) -> Tuple[List[Tuple[str, ast.Module]], Dict[str, List[str]], List[Finding]]:
+) -> Tuple[List[Tuple[str, ast.Module]], List[Finding]]:
     """Parse ``(path, source)`` pairs; RC000 findings for failures."""
     units: List[Tuple[str, ast.Module]] = []
-    lines_by_path: Dict[str, List[str]] = {}
     findings: List[Finding] = []
     for path, source in sources:
         try:
@@ -87,13 +85,11 @@ def _parse_units(
             ))
             continue
         units.append((path, tree))
-        lines_by_path[path] = source.splitlines()
-    return units, lines_by_path, findings
+    return units, findings
 
 
 def _graph_findings(
     units: Sequence[Tuple[str, ast.Module]],
-    lines_by_path: Dict[str, List[str]],
     *,
     inventories: Optional[Sequence[AppInventory]] = None,
     with_inventory: bool = True,
@@ -103,9 +99,7 @@ def _graph_findings(
     graph.annotate()
     findings: List[Finding] = []
     for fn in graph.functions.values():
-        findings.extend(apply_rules(
-            fn.facts, fn.path, lines_by_path.get(fn.path, [])
-        ))
+        findings.extend(apply_rules(fn.facts, fn.path))
     findings.extend(concurrency_findings(graph))
     if with_inventory:
         findings.extend(inventory_findings(graph, inventories))
@@ -127,12 +121,10 @@ def lint_source(
     """
     if interprocedural:
         return lint_sources([(path, source)])
-    units, lines_by_path, findings = _parse_units([(path, source)])
+    units, findings = _parse_units([(path, source)])
     for shown, tree in units:
-        source_lines = lines_by_path[shown]
         for symbol, node in _iter_functions(tree):
-            facts = scan_function(node, symbol)
-            findings.extend(apply_rules(facts, shown, source_lines))
+            findings.extend(apply_rules(scan_function(node, symbol), shown))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
 
@@ -147,10 +139,9 @@ def lint_sources(
     RC008 runs only when ``inventories`` is passed explicitly —
     fixture sources have no registry entries to diff against.
     """
-    units, lines_by_path, findings = _parse_units(sources)
+    units, findings = _parse_units(sources)
     findings.extend(_graph_findings(
         units,
-        lines_by_path,
         inventories=inventories,
         with_inventory=inventories is not None,
     ))
@@ -204,15 +195,13 @@ def lint_paths(
         except ValueError:
             shown = str(file_path)
         sources.append((shown, file_path.read_text(encoding="utf-8")))
-    units, lines_by_path, findings = _parse_units(sources)
+    units, findings = _parse_units(sources)
     if interprocedural:
-        findings.extend(_graph_findings(units, lines_by_path))
+        findings.extend(_graph_findings(units))
     else:
         for shown, tree in units:
-            source_lines = lines_by_path[shown]
             for symbol, node in _iter_functions(tree):
-                facts = scan_function(node, symbol)
-                findings.extend(apply_rules(facts, shown, source_lines))
+                findings.extend(apply_rules(scan_function(node, symbol), shown))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     result = baseline.apply(findings)
     if report_paths is not None:

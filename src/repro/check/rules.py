@@ -1,4 +1,4 @@
-"""Domain rules RC001-RC006: AST analysis of accounting discipline.
+"""Domain rules RC001-RC004 and RC006: AST analysis of accounting discipline.
 
 The linter reasons about *payload taint*: expressions derived from a
 ``DistArray.data`` attribute are raw NumPy payloads of distributed
@@ -6,9 +6,9 @@ arrays.  Arithmetic on tainted values executes data-parallel FLOPs
 that the DPF conventions (paper §1.5) require a matching
 ``session.charge_*`` call for; movement of tainted values (roll,
 transpose, take, ...) requires a ``record_comm``.  Operating through
-``DistArray`` operators, the fused kernels or the collective library
-is always safe — those layers charge internally — so only raw-payload
-escapes are flagged.
+``DistArray`` operators or the collective library is always safe —
+those layers charge internally — so only raw-payload escapes are
+flagged.
 
 Deliberately *not* tainted:
 
@@ -26,7 +26,6 @@ sanitizer (:mod:`repro.check.sanitizer`) covers the complement.
 from __future__ import annotations
 
 import ast
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -120,7 +119,6 @@ RAW_REDUCTION_METHODS = {"sum", "prod", "mean", "cumsum", "cumprod", "dot"}
 #: Session/recorder methods that charge FLOPs.
 CHARGE_METHODS = {
     "charge_elementwise",
-    "charge_elementwise_seq",
     "charge_kernel",
     "charge_reduction_flops",
     "charge_flops",
@@ -139,11 +137,6 @@ PREWEIGHTED_METHODS = {
 
 #: Library entry points that charge (FLOPs and/or comm) internally.
 CHARGING_WRAPPERS = {
-    "axpy",
-    "fma",
-    "scale_add",
-    "linear_combine",
-    "stencil_combine",
     "stencil_apply",
     "stencil_shifts",
     "cshift",
@@ -163,9 +156,6 @@ CHARGING_WRAPPERS = {
     "pcr_solve",
     "sort_array",
     "rank_array",
-    # repro.array.fused's internal charging helper: the public kernels
-    # delegate all their charge_elementwise_seq calls to it.
-    "_charge_steps",
 }
 
 #: DistArray elementwise intrinsics: calling one charges its kind.
@@ -182,14 +172,6 @@ DISTARRAY_KIND_METHODS = {
 #: Attributes that keep payload taint flowing (everything else —
 #: .shape, .dtype, .size, .np ... — breaks the chain).
 TAINT_ATTRS = {"data", "T", "real", "imag", "flat"}
-
-#: Known charge sequences of the fused kernels (RC005), as FLOP-kind
-#: multisets.  linear_combine is arity-dependent and handled in code.
-FUSED_SEQUENCES: Dict[str, Dict[str, int]] = {
-    "fma": {"MUL": 1, "ADD": 1},
-    "scale_add": {"MUL": 2, "ADD": 1},
-    "stencil_combine": {"MUL": 2, "SUB": 1, "ADD": 2},
-}
 
 
 @dataclass
@@ -242,11 +224,6 @@ class FunctionFacts:
     session_reuse_sites: List[Tuple[str, _Site]] = field(
         default_factory=list
     )
-    fused_calls: List[Tuple[str, ast.Call]] = field(default_factory=list)
-    #: runs of >= 2 consecutive same-layout ``charge_elementwise``
-    #: statements inside a loop body (RC007); detail carries the run
-    #: length and layout expression
-    hot_charge_runs: List[_Site] = field(default_factory=list)
     #: every call site, for the interprocedural layer
     calls: List[RawCall] = field(default_factory=list)
 
@@ -311,28 +288,6 @@ def _call_name(func: ast.expr) -> Tuple[Optional[str], Optional[str]]:
     return None, None
 
 
-def _nested_stmt_lists(stmt: ast.stmt) -> List[List[ast.stmt]]:
-    """Statement lists nested directly inside ``stmt``, loops excluded.
-
-    ``with``/``if``/``try`` blocks are transparent for RC007 — charges
-    inside them still execute once per surrounding-loop iteration — but
-    nested ``for``/``while`` bodies are not: those loops scan their own
-    bodies when visited.
-    """
-    if isinstance(stmt, (ast.For, ast.While, ast.AsyncFor)):
-        return []
-    lists: List[List[ast.stmt]] = []
-    for name in ("body", "orelse", "finalbody"):
-        block = getattr(stmt, name, None)
-        if isinstance(block, list) and block and isinstance(
-            block[0], ast.stmt
-        ):
-            lists.append(block)
-    for handler in getattr(stmt, "handlers", []):
-        lists.append(handler.body)
-    return lists
-
-
 class _FunctionScanner(ast.NodeVisitor):
     """Single in-order pass over one function body.
 
@@ -350,7 +305,6 @@ class _FunctionScanner(ast.NodeVisitor):
         #: nesting depth of 'with session.region(...)' blocks at the
         #: current traversal point (RC006 scoping)
         self._region_depth = 0
-        self._fused_seen: Set[int] = set()
         #: session names already passed to run_benchmark and not
         #: reassigned since (reassignment = a fresh session)
         self._sessions_used: Set[str] = set()
@@ -475,7 +429,6 @@ class _FunctionScanner(ast.NodeVisitor):
         self.visit(node.iter)
         if self._is_tainted(node.iter):
             self._taint_targets(node.target)
-        self._scan_charge_runs(node.body)
         for _ in range(2):  # second pass propagates loop-carried taint
             for stmt in node.body:
                 self.visit(stmt)
@@ -484,77 +437,11 @@ class _FunctionScanner(ast.NodeVisitor):
 
     def visit_While(self, node: ast.While) -> None:
         self.visit(node.test)
-        self._scan_charge_runs(node.body)
         for _ in range(2):
             for stmt in node.body:
                 self.visit(stmt)
         for stmt in node.orelse:
             self.visit(stmt)
-
-    def _scan_charge_runs(self, body: List[ast.stmt]) -> None:
-        """RC007 evidence: consecutive same-layout charges in a loop.
-
-        Walks the loop's statement lists (descending into ``with``/
-        ``if``/``try`` blocks, but not into nested loops — those scan
-        their own bodies) looking for runs of two or more adjacent
-        ``*.charge_elementwise(kind, layout, ...)`` statements whose
-        layout expressions match textually.
-        """
-        run_layout: Optional[str] = None
-        run_len = 0
-        run_first: Optional[ast.stmt] = None
-
-        def close_run() -> None:
-            nonlocal run_layout, run_len, run_first
-            if run_len >= 2 and run_first is not None:
-                self._add_site(
-                    self.facts.hot_charge_runs,
-                    run_first,
-                    None,
-                    f"{run_len} consecutive charge_elementwise calls "
-                    f"on {run_layout}",
-                )
-            run_layout = None
-            run_len = 0
-            run_first = None
-
-        for stmt in body:
-            layout_src = self._charge_stmt_layout(stmt)
-            if layout_src is not None:
-                if layout_src == run_layout:
-                    run_len += 1
-                else:
-                    close_run()
-                    run_layout = layout_src
-                    run_len = 1
-                    run_first = stmt
-                continue
-            close_run()
-            for inner in _nested_stmt_lists(stmt):
-                self._scan_charge_runs(inner)
-        close_run()
-
-    @staticmethod
-    def _charge_stmt_layout(stmt: ast.stmt) -> Optional[str]:
-        """Layout-expression source if ``stmt`` is a bare charge call."""
-        if not isinstance(stmt, ast.Expr) or not isinstance(
-            stmt.value, ast.Call
-        ):
-            return None
-        recv, name = _call_name(stmt.value.func)
-        if recv is None or name != "charge_elementwise":
-            return None
-        call = stmt.value
-        layout_node: Optional[ast.expr] = None
-        if len(call.args) >= 2:
-            layout_node = call.args[1]
-        else:
-            for kw in call.keywords:
-                if kw.arg == "layout":
-                    layout_node = kw.value
-        if layout_node is None:
-            return None
-        return ast.unparse(layout_node)
 
     def visit_With(self, node: ast.With) -> None:
         opens_region = False
@@ -713,11 +600,6 @@ class _FunctionScanner(ast.NodeVisitor):
                         self.facts.movement_sites, node, None, f".{name}()"
                     )
 
-        if name in FUSED_SEQUENCES or name in ("axpy", "linear_combine"):
-            if id(node) not in self._fused_seen:
-                self._fused_seen.add(id(node))
-                self.facts.fused_calls.append((name, node))
-
         # FlopKind.X mentions count as charged kinds.
         self.generic_visit(node)
 
@@ -793,8 +675,8 @@ def rc001_uncharged_compute(facts: FunctionFacts, path: str) -> List[Finding]:
                 "numpy arithmetic on distributed payload data "
                 f"({first.detail}; {n} site(s)) but the function charges "
                 "no FLOPs and records no communication — add "
-                "session.charge_* calls or route through DistArray/"
-                "repro.array.fused"
+                "session.charge_* calls or route through DistArray "
+                "operators"
             ),
         )
     ]
@@ -903,135 +785,6 @@ def rc004_session_misuse(facts: FunctionFacts, path: str) -> List[Finding]:
     return out
 
 
-# -- RC005: fused-kernel parity ----------------------------------------
-def _comment_for_call(
-    call: ast.Call, source_lines: Sequence[str]
-) -> Optional[str]:
-    """The documenting comment of a fused call: same line, else above."""
-    lineno = call.lineno
-    line = source_lines[lineno - 1] if lineno - 1 < len(source_lines) else ""
-    if "#" in line:
-        return line.split("#", 1)[1].strip()
-    for back in (2, 3):
-        idx = lineno - back
-        if idx < 0 or idx >= len(source_lines):
-            break
-        stripped = source_lines[idx].strip()
-        if not stripped:
-            continue
-        if stripped.startswith("#"):
-            return stripped.lstrip("#").strip()
-        break
-    return None
-
-
-def _ops_from_comment(text: str) -> Optional[Counter]:
-    """FLOP-kind multiset of the expression documented in a comment.
-
-    Handles ``name = expr``, ``name += expr`` / ``-=`` (the augmented
-    operator contributes its ADD/SUB), and trailing prose after a comma
-    (stripped progressively until the expression parses).
-    """
-    extra: Counter = Counter()
-    for aug, kind in (("+=", "ADD"), ("-=", "SUB"), ("*=", "MUL")):
-        if aug in text:
-            text = text.split(aug, 1)[1]
-            extra[kind] += 1
-            break
-    else:
-        if "=" in text and "==" not in text:
-            text = text.split("=", 1)[1]
-    text = text.strip()
-    tree = None
-    for _ in range(4):
-        try:
-            tree = ast.parse(text, mode="eval")
-            break
-        except SyntaxError:
-            if "," not in text:
-                return None
-            text = text.rsplit(",", 1)[0].strip()
-    if tree is None:
-        return None
-    ops: Counter = Counter(extra)
-    for node in ast.walk(tree):
-        if isinstance(node, ast.BinOp):
-            if isinstance(node.op, ast.Pow):
-                if (
-                    isinstance(node.right, ast.Constant)
-                    and node.right.value == 2
-                ):
-                    ops["MUL"] += 1
-                else:
-                    ops["POW"] += 1
-                continue
-            kind = BINOP_KINDS.get(type(node.op))
-            if kind:
-                ops[kind] += 1
-    if sum(ops.values()) == 0:
-        return None
-    return ops
-
-
-def _expected_fused_ops(name: str, call: ast.Call) -> Optional[Counter]:
-    """Charged FLOP-kind multiset of one fused-kernel call."""
-    if name == "axpy":
-        subtract = False
-        for kw in call.keywords:
-            if kw.arg == "subtract":
-                if not isinstance(kw.value, ast.Constant):
-                    return None  # dynamic flag: cannot check statically
-                subtract = bool(kw.value.value)
-        return Counter({"MUL": 1, "SUB" if subtract else "ADD": 1})
-    if name == "linear_combine":
-        n = 0
-        for arg in call.args:
-            if isinstance(arg, ast.Starred):
-                return None  # dynamic arity
-            n += 1
-        if n == 0:
-            return None
-        return Counter({"MUL": n, "ADD": n - 1})
-    spec = FUSED_SEQUENCES.get(name)
-    return Counter(spec) if spec else None
-
-
-def rc005_fused_parity(
-    facts: FunctionFacts, path: str, source_lines: Sequence[str]
-) -> List[Finding]:
-    """RC005: fused call whose documented expression disagrees."""
-    out: List[Finding] = []
-    for name, call in facts.fused_calls:
-        expected = _expected_fused_ops(name, call)
-        if expected is None:
-            continue
-        comment = _comment_for_call(call, source_lines)
-        if comment is None:
-            continue
-        documented = _ops_from_comment(comment)
-        if documented is None:
-            continue
-        if documented != expected:
-            exp = ", ".join(f"{k}x{v}" for k, v in sorted(expected.items()))
-            doc = ", ".join(f"{k}x{v}" for k, v in sorted(documented.items()))
-            out.append(
-                Finding(
-                    code="RC005",
-                    path=path,
-                    line=call.lineno,
-                    col=call.col_offset,
-                    symbol=facts.symbol,
-                    message=(
-                        f"{name}() charges [{exp}] but the documented "
-                        f"expression ({comment!r}) implies [{doc}]; fix "
-                        "the comment or the call so the charged FLOP-"
-                        "kind sequence matches what it replaces"
-                    ),
-                )
-            )
-    return out
-
-
 def rc006_dangling_spans(facts: FunctionFacts, path: str) -> List[Finding]:
     """RC006: obs span APIs used where no span can open or close.
 
@@ -1086,48 +839,12 @@ def rc006_dangling_spans(facts: FunctionFacts, path: str) -> List[Finding]:
     return out
 
 
-def rc007_unfused_hot_charges(
-    facts: FunctionFacts, path: str
-) -> List[Finding]:
-    """RC007: consecutive same-layout charges inside a loop body.
-
-    Each ``charge_elementwise`` call pays Python-call and
-    layout-pricing overhead once per loop iteration; a run of two or
-    more adjacent calls on the same layout is the exact shape
-    ``charge_elementwise_seq`` fuses into a single priced call with
-    bit-identical totals.
-    """
-    out: List[Finding] = []
-    for site in facts.hot_charge_runs:
-        out.append(
-            Finding(
-                code="RC007",
-                path=path,
-                line=site.line,
-                col=site.col,
-                symbol=facts.symbol,
-                message=(
-                    f"{site.detail} inside a loop body — fuse into one "
-                    "charge_elementwise_seq(((kind, ops, complex), "
-                    "...), layout) call; totals are bit-identical and "
-                    "per-iteration accounting overhead drops to a "
-                    "single call"
-                ),
-            )
-        )
-    return out
-
-
-def apply_rules(
-    facts: FunctionFacts, path: str, source_lines: Sequence[str]
-) -> List[Finding]:
+def apply_rules(facts: FunctionFacts, path: str) -> List[Finding]:
     """Run every rule over one function's facts."""
     findings: List[Finding] = []
     findings.extend(rc001_uncharged_compute(facts, path))
     findings.extend(rc002_kind_mismatch(facts, path))
     findings.extend(rc003_comm_without_record(facts, path))
     findings.extend(rc004_session_misuse(facts, path))
-    findings.extend(rc005_fused_parity(facts, path, source_lines))
     findings.extend(rc006_dangling_spans(facts, path))
-    findings.extend(rc007_unfused_hot_charges(facts, path))
     return findings

@@ -272,8 +272,9 @@ class _AuditArray(np.ndarray):
 
     Arithmetic is delegated to plain ndarray views (no recursion, no
     behavior change); when an ``out=`` argument is supplied the
-    *original* out object is returned so identity checks in callers
-    (e.g. ``repro.array.fused._finish``) keep working.
+    *original* out object is returned, so an ``out=`` update into a
+    preallocated buffer (rp's CGNR loop) hands back the caller's own
+    array, exactly as a plain ndarray would.
     """
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):

@@ -38,7 +38,6 @@ workers instead of paying spawn + import per suite.
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -124,14 +123,6 @@ def _metrics() -> Dict:
         }
     return _METRICS
 
-#: Batch dispatch kill switch (``REPRO_ENGINE_BATCH=0`` disables it
-#: everywhere without touching call sites); read once at import.
-_BATCH_ENABLED = os.environ.get("REPRO_ENGINE_BATCH", "1").lower() not in (
-    "0",
-    "false",
-    "no",
-)
-
 
 @dataclass
 class RunResult:
@@ -188,15 +179,11 @@ class EngineConfig:
     stream: Optional[Union[str, Path]] = None
     #: collect per-job span summaries (repro.obs) into the stats sidecar
     spans: bool = False
-    #: pack small first-attempt jobs into one worker submission to
-    #: amortize per-job pickle/IPC overhead (pool mode only); the
-    #: ``REPRO_ENGINE_BATCH=0`` environment kill switch overrides the
-    #: default.  Per-job results, cache entries, retries and timeouts
-    #: keep request granularity regardless.
-    batch: bool = _BATCH_ENABLED
-    #: most members one batch may carry; 32 amortizes dispatch to
-    #: ~85 us/member on micro-job floods while keeping a failed batch's
-    #: solo-requeue cost bounded
+    #: most members one batch may carry (pool mode packs small
+    #: first-attempt jobs into one worker submission; per-job results,
+    #: cache entries, retries and timeouts keep request granularity);
+    #: 32 amortizes dispatch to ~85 us/member on micro-job floods while
+    #: keeping a failed batch's solo-requeue cost bounded
     batch_max: int = 32
     #: target summed compute-seconds per batch; jobs whose EWMA
     #: estimate exceeds half this always ship alone (protects the
@@ -557,12 +544,11 @@ class Engine:
         worker is abandoned); in-flight siblings are resubmitted at the
         same attempt number.
 
-        **Batch dispatch** (``config.batch``): first-attempt jobs whose
-        pool EWMA estimate marks them small are packed into one worker
-        submission of at most ``batch_max`` members or
-        ``batch_target_s`` summed estimated seconds, amortizing the
-        per-submission pickle/IPC toll that dominates sub-10 ms
-        benchmarks.  Jobs with no estimate yet (cold pool) and jobs
+        **Batch dispatch**: first-attempt jobs whose pool EWMA estimate
+        marks them small are packed into one worker submission of at
+        most ``batch_max`` members or ``batch_target_s`` summed
+        estimated seconds, amortizing the per-submission pickle/IPC
+        toll that dominates sub-10 ms benchmarks.  Jobs with no estimate yet (cold pool) and jobs
         estimated above ``batch_target_s / 2`` ship alone, so the heavy
         subset never queues behind batch siblings; the first solo wave
         seeds the EWMA and batching engages mid-run.  Granularity is
@@ -742,7 +728,7 @@ class Engine:
                         deferred.append((index, attempt, not_before, solo))
                         continue
                     estimate = None
-                    if config.batch and not solo and attempt == 1:
+                    if not solo and attempt == 1:
                         estimate = pool.estimate(requests[index].benchmark)
                     if estimate is not None and estimate <= small_cutoff:
                         pending_batch.append((index, attempt))
@@ -858,7 +844,6 @@ class Engine:
         finally:
             if owned:
                 pool.shutdown(wait=False)
-        if config.batch:
-            self._pool_phases["batches_submitted"] = float(batches_submitted)
-            self._pool_phases["batched_jobs"] = float(batched_jobs)
+        self._pool_phases["batches_submitted"] = float(batches_submitted)
+        self._pool_phases["batched_jobs"] = float(batched_jobs)
         return workers

@@ -19,7 +19,6 @@ from typing import Optional
 import numpy as np
 
 from repro.array.distarray import DistArray
-from repro.array.fused import axpy, linear_combine
 from repro.comm.primitives import cshift, reduce_array
 from repro.layout.spec import parse_layout
 from repro.machine.session import Session
@@ -39,7 +38,7 @@ def _apply(lo: float, di: float, up: float, v: DistArray) -> DistArray:
     """``(A v)_i = lo*v_(i-1) + di*v_i + up*v_(i+1)`` (periodic)."""
     vm = cshift(v, -1)  # v_(i-1)
     vp = cshift(v, +1)  # v_(i+1)
-    return linear_combine((di, v), (lo, vm), (up, vp))
+    return di * v + lo * vm + up * vp
 
 
 def cg_tridiagonal(
@@ -82,13 +81,13 @@ def cg_tridiagonal(
                     break
                 alpha = gamma / qq
                 session.recorder.charge_flops(FlopKind.DIV, 1)
-                axpy(alpha, p, x, out=x)  # x += alpha * p
-                axpy(alpha, q, r, subtract=True, out=r)  # r -= alpha * q
+                x += alpha * p
+                r -= alpha * q
                 s = _apply(upper, diag, lower, r)  # 2 CSHIFTs
                 gamma_new = reduce_array(s * s, "sum")  # Reduction 2
                 beta = gamma_new / gamma if gamma else 0.0
                 session.recorder.charge_flops(FlopKind.DIV, 1)
-                p = axpy(beta, p, s)  # s + beta * p
+                p = s + beta * p
                 gamma = gamma_new
                 res = float(np.sqrt(reduce_array(r * r, "sum")))  # Reduction 3
                 session.recorder.charge_flops(FlopKind.SQRT, 1)

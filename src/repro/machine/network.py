@@ -81,9 +81,6 @@ class NetworkModel:
     #: mean slowdown of router traffic from collisions (paper §4 (8))
     collision_factor: float = 1.5
 
-    #: memoized-cost cap; identical collectives dominate iteration loops
-    _COST_CACHE_MAX = 4096
-
     def __post_init__(self) -> None:
         for name in ("bw_link", "bw_router"):
             if getattr(self, name) <= 0:
@@ -97,9 +94,6 @@ class NetworkModel:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        # Per-instance memo of cost() results keyed on the full argument
-        # tuple; the model itself is frozen so entries never go stale.
-        object.__setattr__(self, "_cost_cache", {})
 
     def with_overrides(self, **kwargs: float) -> "NetworkModel":
         """Copy with replaced parameters."""
@@ -125,37 +119,7 @@ class NetworkModel:
         patterns (stencils pass their point count, sorts their stage
         count).  ``collisions`` overrides the router collision factor
         (PIC codes sort particles precisely to drive this to ~1).
-
-        Results are memoized per ``(pattern, bytes, nodes, stages,
-        collisions)``: iteration loops re-price identical collectives
-        every step.
         """
-        key = (pattern, bytes_network, nodes, stages, collisions)
-        cache = self._cost_cache
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._cost(
-            pattern,
-            bytes_network=bytes_network,
-            nodes=nodes,
-            stages=stages,
-            collisions=collisions,
-        )
-        if len(cache) >= self._COST_CACHE_MAX:
-            cache.clear()
-        cache[key] = out
-        return out
-
-    def _cost(
-        self,
-        pattern: CommPattern,
-        *,
-        bytes_network: int,
-        nodes: int,
-        stages: Optional[int],
-        collisions: Optional[float],
-    ) -> NetworkCost:
         if bytes_network < 0:
             raise ValueError("bytes_network must be non-negative")
         if nodes < 1:

@@ -25,10 +25,6 @@ from repro.metrics.patterns import CommPattern
 from repro.metrics.recorder import MetricsRecorder
 from repro.versions import VersionTier
 
-#: One step of a fused elementwise charge sequence:
-#: ``(kind, ops_per_element, complex_valued)``.
-ChargeStep = Tuple[FlopKind, int, bool]
-
 #: Shared no-op context manager returned by :meth:`Session.iteration`
 #: when no span observer is attached.  ``contextlib.nullcontext`` is
 #: stateless, so one instance serves every unobserved iteration without
@@ -57,7 +53,6 @@ class Session:
         # bit-exact — iteration loops re-price identical work every
         # step otherwise.
         self._elementwise_cache: dict = {}
-        self._seq_cache: dict = {}
         self._comm_cache: dict = {}
 
     # -- structure ---------------------------------------------------------
@@ -164,40 +159,6 @@ class Session:
             access=access,
             bytes_critical_node=bytes_critical,
         )
-
-    def charge_elementwise_seq(
-        self,
-        steps: Sequence[ChargeStep],
-        layout: Layout,
-        *,
-        access: LocalAccess = LocalAccess.DIRECT,
-    ) -> None:
-        """Charge a sequence of elementwise operations over one layout.
-
-        Equivalent to calling :meth:`charge_elementwise` once per
-        ``(kind, ops_per_element, complex_valued)`` step, in order, but
-        hoists the layout geometry (size, critical fraction) out of the
-        loop.  Each step uses the exact same arithmetic as the unfused
-        path, so fused kernels report byte-identical metrics.
-        """
-        key = (tuple(steps), layout, access)
-        priced = self._seq_cache.get(key)
-        if priced is None:
-            priced = [
-                (kind, complex_valued)
-                + self._price_elementwise(
-                    kind, layout, ops_per_element, complex_valued, access
-                )
-                for kind, ops_per_element, complex_valued in steps
-            ]
-            if len(self._seq_cache) < 4096:
-                self._seq_cache[key] = priced
-        recorder = self.recorder
-        for kind, complex_valued, n_ops, seconds in priced:
-            if n_ops == 0:
-                continue
-            recorder.charge_flops(kind, n_ops, complex_valued=complex_valued)
-            recorder.charge_compute_time(seconds)
 
     def charge_kernel(
         self,

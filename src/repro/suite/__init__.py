@@ -12,11 +12,17 @@
 * :mod:`repro.suite.tables` — regenerate the paper's Tables 1-8.
 """
 
-from repro.suite.registry import REGISTRY, BenchmarkSpec, benchmark_names
+from repro.suite.registry import (
+    REGISTRY,
+    SMALL_PARAMS,
+    BenchmarkSpec,
+    benchmark_names,
+)
 from repro.suite.runner import run_benchmark, run_suite
 
 __all__ = [
     "REGISTRY",
+    "SMALL_PARAMS",
     "BenchmarkSpec",
     "benchmark_names",
     "run_benchmark",

@@ -402,6 +402,44 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
 
 REGISTRY: Dict[str, BenchmarkSpec] = _build_registry()
 
+#: Small-but-representative parameters for every benchmark: each still
+#: runs its main loop and exercises its communication patterns.  Tests,
+#: examples and the committed report digests use these sizes.
+SMALL_PARAMS: Dict[str, Mapping[str, object]] = {
+    "gather": {"n": 2048, "repeats": 3},
+    "scatter": {"n": 2048, "repeats": 3},
+    "reduction": {"n": 2048, "repeats": 3},
+    "transpose": {"n": 48, "repeats": 3},
+    "matrix-vector": {"n": 48, "repeats": 2},
+    "lu": {"n": 20},
+    "qr": {"m": 24, "n": 12},
+    "gauss-jordan": {"n": 20},
+    "pcr": {"n": 64},
+    "conj-grad": {"n": 96},
+    "jacobi": {"n": 10},
+    "fft": {"n": 256},
+    "boson": {"nx": 6, "nt": 4, "sweeps": 3},
+    "diff-1d": {"nx": 48, "steps": 3},
+    "diff-2d": {"nx": 16, "steps": 3},
+    "diff-3d": {"nx": 10, "steps": 3},
+    "ellip-2d": {"nx": 10},
+    "fem-3d": {"nx": 2, "iterations": 6},
+    "fermion": {"sites": 12, "n": 4, "sweeps": 2},
+    "gmo": {"ns": 64, "ntr": 8},
+    "ks-spectral": {"nx": 32, "ne": 2, "steps": 3},
+    "md": {"n_p": 10, "steps": 3},
+    "mdcell": {"nc": 3, "steps": 1},
+    "n-body": {"n": 16},
+    "pic-simple": {"nx": 8, "n_p": 64, "steps": 1},
+    "pic-gather-scatter": {"nx": 8, "n_p": 48, "steps": 1},
+    "qcd-kernel": {"nx": 2, "iterations": 1},
+    "qmc": {"blocks": 1, "steps_per_block": 6, "n_w": 40},
+    "qptransport": {"iterations": 6},
+    "rp": {"nx": 4},
+    "step4": {"nx": 8, "steps": 1},
+    "wave-1d": {"nx": 32, "steps": 3},
+}
+
 
 def benchmark_names(group: str | None = None) -> Tuple[str, ...]:
     """All benchmark names, optionally filtered by group."""

@@ -60,13 +60,13 @@ class TestRC001:
         )
         assert lint_source(good, "fix.py") == []
 
-    def test_fused_wrapper_silences(self):
+    def test_library_wrapper_silences(self):
         good = dedent(
             """\
-            def stepper(y, x, alpha):
+            def stepper(a, x):
                 raw = x.data
                 scaled = raw * 2.0
-                return axpy(y, x, alpha)
+                return matvec(a, x)
             """
         )
         assert lint_source(good, "fix.py") == []
@@ -246,89 +246,6 @@ class TestRC004:
 
 
 # ----------------------------------------------------------------------
-# RC005: fused-kernel parity
-# ----------------------------------------------------------------------
-class TestRC005:
-    def test_stencil_comment_mismatch(self):
-        bad = dedent(
-            """\
-            def step(uc, um, up, scale):
-                # rhs = uc + scale * (um - uc + up)
-                return stencil_combine(uc, um, up, scale)
-            """
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC005"]
-        f = findings[0]
-        assert f.symbol == "step"
-        assert f.line == 3
-        assert "stencil_combine" in f.message
-
-    def test_stencil_comment_match_ok(self):
-        good = dedent(
-            """\
-            def step(uc, um, up, scale):
-                # rhs = uc + scale * (um - 2*uc + up)
-                return stencil_combine(uc, um, up, scale)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_axpy_augmented_comment(self):
-        bad = dedent(
-            """\
-            def update(y, x, alpha):
-                # y -= alpha * x
-                return axpy(y, x, alpha)
-            """
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC005"]
-
-    def test_axpy_subtract_matches_minus_comment(self):
-        good = dedent(
-            """\
-            def update(y, x, alpha):
-                # y -= alpha * x
-                return axpy(y, x, alpha, subtract=True)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_linear_combine_arity(self):
-        bad = dedent(
-            """\
-            def mix(a, b, c):
-                # out = 0.5*a + 0.5*b
-                return linear_combine(a, b, c)
-            """
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC005"]
-
-    def test_prose_comment_skipped(self):
-        # a comment that is not an expression cannot disagree
-        good = dedent(
-            """\
-            def update(y, x, alpha):
-                # accumulate the force contribution
-                return axpy(y, x, alpha)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_dynamic_subtract_flag_skipped(self):
-        good = dedent(
-            """\
-            def update(y, x, alpha, sub):
-                # y -= alpha * x
-                return axpy(y, x, alpha, subtract=sub)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-
-# ----------------------------------------------------------------------
 # RC006: dangling observability spans
 # ----------------------------------------------------------------------
 class TestRC006:
@@ -435,125 +352,6 @@ def test_syntax_error_is_rc000():
 # ----------------------------------------------------------------------
 # Baseline
 # ----------------------------------------------------------------------
-class TestRC007:
-    BAD = dedent(
-        """\
-        def run(session, field, steps):
-            with session.region("main_loop", iterations=steps):
-                for step in range(steps):
-                    session.charge_elementwise(FlopKind.MUL, field.layout)
-                    session.charge_elementwise(FlopKind.ADD, field.layout)
-        """
-    )
-
-    def test_flags_consecutive_same_layout_pair(self):
-        findings = lint_source(self.BAD, "fix.py")
-        assert codes(findings) == ["RC007"]
-        f = findings[0]
-        assert f.symbol == "run"
-        assert f.line == 4  # first call of the run
-        assert "charge_elementwise_seq" in f.message
-        assert "2 consecutive" in f.message
-
-    def test_fused_call_silences(self):
-        good = dedent(
-            """\
-            def run(session, field, steps):
-                with session.region("main_loop", iterations=steps):
-                    for step in range(steps):
-                        session.charge_elementwise_seq(
-                            ((FlopKind.MUL, 1, False), (FlopKind.ADD, 1, False)),
-                            field.layout,
-                        )
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_different_layouts_not_flagged(self):
-        good = self.BAD.replace(
-            "session.charge_elementwise(FlopKind.ADD, field.layout)",
-            "session.charge_elementwise(FlopKind.ADD, other.layout)",
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_separated_calls_not_flagged(self):
-        good = self.BAD.replace(
-            "            session.charge_elementwise(FlopKind.ADD",
-            "            x = step + 1\n"
-            "            session.charge_elementwise(FlopKind.ADD",
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_outside_loop_not_flagged(self):
-        good = dedent(
-            """\
-            def apply(session, field):
-                session.charge_elementwise(FlopKind.MUL, field.layout)
-                session.charge_elementwise(FlopKind.ADD, field.layout)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_if_block_inside_loop_is_transparent(self):
-        bad = dedent(
-            """\
-            def run(session, field, steps):
-                for step in range(steps):
-                    if step % 2:
-                        session.charge_elementwise(FlopKind.MUL, field.layout)
-                        session.charge_elementwise(FlopKind.ADD, field.layout)
-            """
-        )
-        assert codes(lint_source(bad, "fix.py")) == ["RC007"]
-
-    def test_nested_loop_run_reported_once(self):
-        bad = dedent(
-            """\
-            def run(session, field, steps):
-                for step in range(steps):
-                    for tap in (-1, 1):
-                        session.charge_elementwise(FlopKind.MUL, field.layout)
-                        session.charge_elementwise(FlopKind.ADD, field.layout)
-            """
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC007"]
-        assert findings[0].line == 4
-
-    def test_keyword_layout_spelling_flagged(self):
-        bad = dedent(
-            """\
-            def run(session, field, steps):
-                while steps:
-                    session.charge_elementwise(FlopKind.MUL, layout=field.layout)
-                    session.charge_elementwise(FlopKind.ADD, layout=field.layout)
-                    steps -= 1
-            """
-        )
-        assert codes(lint_source(bad, "fix.py")) == ["RC007"]
-
-    def test_run_of_three_counted_once(self):
-        bad = self.BAD.replace(
-            "            session.charge_elementwise(FlopKind.ADD, field.layout)",
-            "            session.charge_elementwise(FlopKind.ADD, field.layout)\n"
-            "            session.charge_elementwise(FlopKind.SUB, field.layout)",
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC007"]
-        assert "3 consecutive" in findings[0].message
-
-    def test_baseline_suppresses(self):
-        findings = lint_source(self.BAD, "fix.py")
-        baseline = Baseline(
-            suppressions=[
-                Suppression("RC007", "fix.py", "run", "mixed access modes")
-            ]
-        )
-        result = baseline.apply(findings)
-        assert result.ok
-        assert codes(result.suppressed) == ["RC007"]
-
-
 class TestBaseline:
     BAD = TestRC001.BAD
 

@@ -28,6 +28,7 @@ from repro.engine import (
     sweep_from_results,
     tier_sweep_requests,
 )
+from repro.metrics.patterns import CommPattern
 from repro.suite import REGISTRY
 
 
@@ -176,10 +177,13 @@ class TestNetworkOverrides:
 
     def test_override_machines_have_private_cost_memos(self):
         """Two override sets can never share priced comm costs."""
-        m1 = RunRequest("fft", network={"bw_link": 1e6}).build_session().machine
-        m2 = RunRequest("fft", network={"bw_link": 2e6}).build_session().machine
-        assert m1.network is not m2.network
-        assert m1.network._cost_cache is not m2.network._cost_cache
+        s1 = RunRequest("fft", network={"bw_link": 1e6}).build_session()
+        s2 = RunRequest("fft", network={"bw_link": 2e6}).build_session()
+        assert s1.machine.network is not s2.machine.network
+        for session in (s1, s2):
+            session.record_comm(CommPattern.CSHIFT, bytes_network=1 << 20)
+        assert s1._comm_cache is not s2._comm_cache
+        assert s1.recorder.busy_time == pytest.approx(2 * s2.recorder.busy_time)
 
     def test_degraded_bandwidth_slows_comm_heavy_run(self):
         stock = execute_request(

@@ -305,12 +305,10 @@ class TestBatchDispatch:
         return pool
 
     def test_batched_reports_match_solo_byte_for_byte(self):
-        solo = Engine(EngineConfig(jobs=1, batch=False)).run(
-            subset_requests()
-        )
+        solo = Engine(EngineConfig(jobs=1)).run(subset_requests())
         pool = self._seeded_pool(SUBSET)
         try:
-            engine = Engine(EngineConfig(jobs=1, batch=True), pool=pool)
+            engine = Engine(EngineConfig(jobs=1), pool=pool)
             batched = engine.run(subset_requests())
         finally:
             pool.shutdown()
@@ -324,12 +322,12 @@ class TestBatchDispatch:
         """No estimate -> solo; the first wave seeds the EWMA."""
         pool = WorkerPool(workers=1)
         try:
-            first = Engine(EngineConfig(jobs=1, batch=True), pool=pool)
+            first = Engine(EngineConfig(jobs=1), pool=pool)
             first.run(subset_requests())
             assert first.last_run_stats.phases["batches_submitted"] == 0
             for name in SUBSET:
                 assert pool.estimate(name) is not None
-            second = Engine(EngineConfig(jobs=1, batch=True), pool=pool)
+            second = Engine(EngineConfig(jobs=1), pool=pool)
             second.run(subset_requests())
             assert second.last_run_stats.phases["batches_submitted"] >= 1
         finally:
@@ -342,7 +340,7 @@ class TestBatchDispatch:
         pool = self._seeded_pool(SUBSET)
         try:
             engine = Engine(
-                EngineConfig(jobs=1, batch=True, retries=1, backoff=0.0),
+                EngineConfig(jobs=1, retries=1, backoff=0.0),
                 pool=pool,
                 tracer=Tracer(callback=events.append),
             )
@@ -382,7 +380,7 @@ class TestBatchDispatch:
         pool = self._seeded_pool(["fft", "gmo"])
         try:
             engine = Engine(
-                EngineConfig(jobs=1, batch=True, timeout=0.5), pool=pool
+                EngineConfig(jobs=1, timeout=0.5), pool=pool
             )
             results = engine.run(
                 plan_suite(["fft", "gmo"], params=SUBSET_PARAMS)
@@ -400,7 +398,7 @@ class TestBatchDispatch:
         cache = tmp_path / "cache"
         pool = self._seeded_pool(SUBSET)
         try:
-            config = EngineConfig(jobs=1, batch=True, cache_dir=cache)
+            config = EngineConfig(jobs=1, cache_dir=cache)
             first = Engine(config, pool=pool).run(subset_requests())
             second = Engine(config, pool=pool).run(subset_requests())
         finally:
@@ -414,7 +412,7 @@ class TestBatchDispatch:
         cache = tmp_path / "cache"
         pool = self._seeded_pool(SUBSET)
         try:
-            config = EngineConfig(jobs=1, batch=True, cache_dir=cache)
+            config = EngineConfig(jobs=1, cache_dir=cache)
             Engine(config, pool=pool).run(
                 plan_suite(["fft", "lu"], params=SUBSET_PARAMS)
             )

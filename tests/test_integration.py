@@ -4,45 +4,9 @@ agreements EXPERIMENTS.md documents."""
 import pytest
 
 from repro import Session, cm5
-from repro.suite import run_benchmark, run_suite
+from repro.suite import SMALL_PARAMS, run_benchmark, run_suite
 from repro.suite.tables import measure
 from repro.suite import analytic
-
-
-SMALL_PARAMS = {
-    "gather": {"n": 512, "repeats": 2},
-    "scatter": {"n": 512, "repeats": 2},
-    "reduction": {"n": 512, "repeats": 2},
-    "transpose": {"n": 32, "repeats": 2},
-    "matrix-vector": {"n": 24, "repeats": 2},
-    "lu": {"n": 12},
-    "qr": {"m": 18, "n": 9},
-    "gauss-jordan": {"n": 12},
-    "pcr": {"n": 32},
-    "conj-grad": {"n": 64},
-    "jacobi": {"n": 8},
-    "fft": {"n": 128},
-    "boson": {"nx": 6, "nt": 4, "sweeps": 3},
-    "diff-1d": {"nx": 32, "steps": 2},
-    "diff-2d": {"nx": 16, "steps": 2},
-    "diff-3d": {"nx": 8, "steps": 2},
-    "ellip-2d": {"nx": 8},
-    "fem-3d": {"nx": 2, "iterations": 5},
-    "fermion": {"sites": 8, "n": 4, "sweeps": 2},
-    "gmo": {"ns": 64, "ntr": 8},
-    "ks-spectral": {"nx": 32, "ne": 2, "steps": 2},
-    "md": {"n_p": 8, "steps": 3},
-    "mdcell": {"nc": 3, "steps": 1},
-    "n-body": {"n": 12},
-    "pic-simple": {"nx": 8, "n_p": 64, "steps": 1},
-    "pic-gather-scatter": {"nx": 8, "n_p": 32, "steps": 1},
-    "qcd-kernel": {"nx": 2, "iterations": 1},
-    "qmc": {"blocks": 1, "steps_per_block": 5, "n_w": 40},
-    "qptransport": {"iterations": 6},
-    "rp": {"nx": 4},
-    "step4": {"nx": 8, "steps": 1},
-    "wave-1d": {"nx": 32, "steps": 3},
-}
 
 
 class TestFullSuite:

@@ -42,9 +42,7 @@ from repro.obs import (
 )
 from repro.obs.spans import CATEGORY_COMM_BUSY
 from repro.sessions import open_session
-from repro.suite import REGISTRY, run_benchmark
-
-from tests.test_report_digests import SMALL_PARAMS
+from repro.suite import REGISTRY, SMALL_PARAMS, run_benchmark
 
 #: Benchmarks whose main loops carry session.iteration markers, with
 #: any parameter overrides needed to exercise a stepping variant

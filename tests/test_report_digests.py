@@ -23,48 +23,11 @@ from repro.metrics.serialize import (
     report_to_dict,
 )
 from repro.sessions import open_session
-from repro.suite import REGISTRY, run_benchmark
+from repro.suite import REGISTRY, SMALL_PARAMS, run_benchmark
 
 DIGESTS = json.loads(
     (pathlib.Path(__file__).parent / "data" / "report_digests.json").read_text()
 )
-
-# Small-but-representative sizes so the whole sweep stays fast while
-# every benchmark still exercises its main loop and comm patterns.
-SMALL_PARAMS = {
-    "gather": {"n": 2048, "repeats": 3},
-    "scatter": {"n": 2048, "repeats": 3},
-    "reduction": {"n": 2048, "repeats": 3},
-    "transpose": {"n": 48, "repeats": 3},
-    "matrix-vector": {"n": 48, "repeats": 2},
-    "lu": {"n": 20},
-    "qr": {"m": 24, "n": 12},
-    "gauss-jordan": {"n": 20},
-    "pcr": {"n": 64},
-    "conj-grad": {"n": 96},
-    "jacobi": {"n": 10},
-    "fft": {"n": 256},
-    "boson": {"nx": 6, "nt": 4, "sweeps": 3},
-    "diff-1d": {"nx": 48, "steps": 3},
-    "diff-2d": {"nx": 16, "steps": 3},
-    "diff-3d": {"nx": 10, "steps": 3},
-    "ellip-2d": {"nx": 10},
-    "fem-3d": {"nx": 2, "iterations": 6},
-    "fermion": {"sites": 12, "n": 4, "sweeps": 2},
-    "gmo": {"ns": 64, "ntr": 8},
-    "ks-spectral": {"nx": 32, "ne": 2, "steps": 3},
-    "md": {"n_p": 10, "steps": 3},
-    "mdcell": {"nc": 3, "steps": 1},
-    "n-body": {"n": 16},
-    "pic-simple": {"nx": 8, "n_p": 64, "steps": 1},
-    "pic-gather-scatter": {"nx": 8, "n_p": 48, "steps": 1},
-    "qcd-kernel": {"nx": 2, "iterations": 1},
-    "qmc": {"blocks": 1, "steps_per_block": 6, "n_w": 40},
-    "qptransport": {"iterations": 6},
-    "rp": {"nx": 4},
-    "step4": {"nx": 8, "steps": 1},
-    "wave-1d": {"nx": 32, "steps": 3},
-}
 
 
 def test_every_registered_benchmark_is_covered():

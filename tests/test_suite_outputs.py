@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.suite import REGISTRY, run_benchmark
+from repro.suite import REGISTRY, SMALL_PARAMS, run_benchmark
 from repro.suite.outputs import render_output, write_outputs
 
 
@@ -38,24 +38,9 @@ class TestOutputs:
 class TestRegistryConsistency:
     """The registry metadata must match what the benchmarks report."""
 
-    SMALL = {
-        "boson": {"nx": 6, "nt": 4, "sweeps": 2},
-        "diff-2d": {"nx": 16, "steps": 2},
-        "diff-3d": {"nx": 8, "steps": 2},
-        "ellip-2d": {"nx": 8},
-        "fermion": {"sites": 8, "n": 4, "sweeps": 2},
-        "gmo": {"ns": 64, "ntr": 8},
-        "mdcell": {"nc": 3, "steps": 1},
-        "pic-gather-scatter": {"nx": 8, "n_p": 32, "steps": 1},
-        "qcd-kernel": {"nx": 2, "iterations": 1},
-        "qptransport": {"iterations": 4},
-        "rp": {"nx": 4},
-        "step4": {"nx": 8, "steps": 1},
-    }
-
-    @pytest.mark.parametrize("name", sorted(SMALL))
+    @pytest.mark.parametrize("name", sorted(SMALL_PARAMS))
     def test_local_access_matches_registry(self, session_factory, name):
-        rep = run_benchmark(name, session_factory(), **self.SMALL[name])
+        rep = run_benchmark(name, session_factory(), **SMALL_PARAMS[name])
         assert rep.local_access is REGISTRY[name].local_access, name
 
 

@@ -31,9 +31,7 @@ from repro.obs.telemetry import (
 )
 from repro.serve import ServeClient, ServeConfig, ServerThread
 from repro.sessions import open_session
-from repro.suite import REGISTRY, run_benchmark
-
-from tests.test_report_digests import SMALL_PARAMS
+from repro.suite import REGISTRY, SMALL_PARAMS, run_benchmark
 
 
 class TestRegistry:
