@@ -6,8 +6,10 @@ consumer (CLI, tables, benchmark harness, sweeps):
 * :mod:`repro.engine.jobs` — :class:`RunRequest`, the declarative,
   content-hashed unit of work, and ``execute_request``;
 * :mod:`repro.engine.executor` — the :class:`Engine`: process-pool
-  fan-out, per-job timeout, bounded retry with backoff, graceful
-  degradation to serial execution;
+  fan-out and graceful degradation to serial execution;
+* :mod:`repro.engine.lifecycle` — the job state machine both engine
+  paths and the run server drive: per-job timeout, bounded retry with
+  backoff, batching, pool restarts;
 * :mod:`repro.engine.cache` — content-addressed result cache keyed by
   (code fingerprint, request hash);
 * :mod:`repro.engine.store` — append-only JSONL run store of every
@@ -32,14 +34,9 @@ See ``docs/ENGINE.md`` for architecture and format details.
 """
 
 from repro.engine.cache import ResultCache, code_fingerprint
-from repro.engine.executor import (
-    Engine,
-    EngineConfig,
-    InjectedFailure,
-    RunResult,
-)
+from repro.engine.executor import Engine, EngineConfig, RunResult
 from repro.engine.jobs import RunRequest, execute_request
-from repro.engine.pool import WorkerPool
+from repro.engine.pool import InjectedFailure, WorkerPool
 from repro.engine.shards import ShardedRunStore
 from repro.engine.plan import (
     expand_grid,

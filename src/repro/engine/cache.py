@@ -108,6 +108,19 @@ class ResultCache:
         os.replace(tmp, path)
         return path
 
+    def put_report(self, request: RunRequest, report: Dict, wall_time_s: float) -> Path:
+        """Store one successful job's report as a result record."""
+        return self.put(
+            request,
+            {
+                "request": request.to_dict(),
+                "request_hash": request.content_hash(),
+                "status": "ok",
+                "wall_time_s": wall_time_s,
+                "report": report,
+            },
+        )
+
     def __contains__(self, request: RunRequest) -> bool:
         return self._entry_path(request).exists()
 

@@ -9,9 +9,11 @@ into :class:`RunResult` s through four layers:
   fanned out over a process pool (``jobs > 1``), with graceful
   degradation to serial when multiprocessing is unavailable;
 * **fault tolerance** — per-job timeout (process mode), bounded retry
-  with exponential backoff for failures, and isolation: one job
-  exhausting its retries is recorded ``failed``/``timeout`` without
-  aborting the rest;
+  with exponential backoff for failures, pool restarts, and isolation:
+  one job exhausting its retries is recorded ``failed``/``timeout``
+  without aborting the rest.  Every such decision is made by
+  :class:`~repro.engine.lifecycle.Lifecycle`; both execution paths
+  here are its drivers and keep only the I/O;
 * **persistence** — every result (including cache hits) appends to the
   run store *as its job finishes*, so a killed run keeps the history of
   every completed job; every lifecycle step emits a trace event; and a
@@ -23,14 +25,8 @@ paths serialize reports with the same
 :func:`repro.metrics.serialize.report_to_dict`, so serial and parallel
 runs of the same request store byte-identical reports.
 
-Test hooks: ``REPRO_ENGINE_INJECT_FAIL=bench:N`` makes attempts
-``<= N`` of ``bench`` raise (``N`` < 0 or missing: every attempt);
-``REPRO_ENGINE_INJECT_SLEEP=bench:SECONDS`` delays the job (for
-exercising timeouts); ``REPRO_ENGINE_FORCE_SERIAL=1`` disables the
-process pool.  Hooks apply in workers and in serial mode alike.
-
-The worker-side machinery (payload protocol, injection hooks, pool
-construction) lives in :mod:`repro.engine.pool`, whose resident
+The worker-side machinery (payload protocol, test injection hooks,
+pool construction) lives in :mod:`repro.engine.pool`, whose resident
 :class:`~repro.engine.pool.WorkerPool` can be shared across engine
 invocations (``Engine(config, pool=...)``) so repeated runs reuse warm
 workers instead of paying spawn + import per suite.
@@ -38,26 +34,16 @@ workers instead of paying spawn + import per suite.
 
 from __future__ import annotations
 
+import concurrent.futures as cf
 import time
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import RunRequest, execute_request
-from repro.engine.pool import (  # noqa: F401  (re-exported compat names)
-    ENV_FORCE_SERIAL,
-    ENV_INJECT_FAIL,
-    ENV_INJECT_SLEEP,
-    InjectedFailure,
-    WorkerPool,
-    _apply_test_hooks,
-    _parse_injection,
-    _pool_supported,
-    _worker_init,
-    _worker_run,
-)
+from repro.engine.lifecycle import Finish, Lifecycle, Restart, Submission
+from repro.engine.pool import WorkerPool, _apply_test_hooks, _pool_supported, returned
 from repro.engine.store import make_record, new_run_id, open_store
 from repro.engine.trace import Tracer
 from repro.metrics.report import PerfReport
@@ -218,6 +204,8 @@ class Engine:
         self._store = None
         self._run_id: Optional[str] = None
         self._stream = None
+        #: the current run's requests, results and cache
+        self._requests, self._results, self._cache = (), [], None
         #: extra phase counters filled in by the pool path (batching)
         self._pool_phases: Dict[str, float] = {}
 
@@ -246,6 +234,7 @@ class Engine:
         results: List[Optional[RunResult]] = [None] * len(requests)
         self._store = store
         self._run_id = run_id
+        self._requests, self._results, self._cache = requests, results, cache
         if config.stream is not None:
             from repro.obs.stream import EventStream
 
@@ -306,15 +295,10 @@ class Engine:
             )
             workers_used = 1
             self._pool_phases = {}
-            if pending:
-                if use_pool:
-                    workers_used = self._run_pool(
-                        requests, pending, results, cache
-                    )
-                else:
-                    self._run_serial(
-                        requests, pending, results, cache, session_factory
-                    )
+            if use_pool:
+                workers_used = self._run_pool(pending)
+            elif pending:
+                self._run_serial(pending, session_factory)
 
             final = [r for r in results if r is not None]
             now = time.perf_counter()
@@ -363,6 +347,7 @@ class Engine:
                 self._stream = None
             self._store = None
             self._run_id = None
+            self._requests, self._results, self._cache = (), [], None
 
     # -- shared helpers -------------------------------------------------
     def _finish(self, request: RunRequest, result: RunResult) -> None:
@@ -401,449 +386,168 @@ class Engine:
         if self.progress is not None:
             self.progress(result)
 
-    def _ok_result(
-        self,
-        request: RunRequest,
-        record: Dict,
-        attempts: int,
-        wall: float,
-        cache: Optional[ResultCache],
-        *,
-        index: int = 0,
-        queue_wait: float = 0.0,
-        compute: float = 0.0,
-    ) -> RunResult:
+    def _complete(self, finish: Finish) -> None:
+        """Turn a finished job into its result; cache a fresh report."""
+        request = self._requests[finish.key]
+        payload = finish.result or {}
+        record = payload.get("report")
         result = RunResult(
             request=request,
-            status="ok",
-            report=report_from_dict(record),
+            status=finish.status,
+            report=None if record is None else report_from_dict(record),
             report_record=record,
-            attempts=attempts,
-            wall_time_s=wall,
-            index=index,
-            queue_wait_s=queue_wait,
-            compute_time_s=compute,
+            error=finish.error,
+            attempts=finish.attempts,
+            wall_time_s=finish.wall_s,
+            index=finish.key,
+            queue_wait_s=finish.queue_wait_s,
+            compute_time_s=finish.compute_s,
+            spans=payload.get("spans"),
         )
-        if cache is not None:
-            cache.put(
-                request,
-                {
-                    "request": request.to_dict(),
-                    "request_hash": request.content_hash(),
-                    "status": "ok",
-                    "wall_time_s": wall,
-                    "report": record,
-                },
-            )
-        return result
+        if record is not None and self._cache is not None:
+            self._cache.put_report(request, record, finish.wall_s)
+        self._results[finish.key] = result
+        self._finish(request, result)
 
-    def _backoff_delay(self, attempt: int) -> float:
-        return self.config.backoff * (2 ** (attempt - 1))
+    def _apply(self, actions, pool: Optional[WorkerPool] = None) -> None:
+        """Carry out the lifecycle's actions: results, traces, restarts."""
+        for action in actions:
+            if isinstance(action, Restart):
+                pool.restart()
+                if telemetry.enabled():
+                    _metrics()["restarts"].inc()
+                continue
+            if action.status == "timeout" and telemetry.enabled():
+                _metrics()["timeouts"].inc()
+            if isinstance(action, Finish):
+                self._complete(action)
+                continue
+            request = self._requests[action.key]
+            self.tracer.emit(
+                "job_retried", request, attempt=action.attempt, detail=action.error
+            )
+            if telemetry.enabled():
+                _metrics()["retries"].inc()
 
     # -- serial path ----------------------------------------------------
     def _run_serial(
         self,
-        requests: Sequence[RunRequest],
         indices: Sequence[int],
-        results: List[Optional[RunResult]],
-        cache: Optional[ResultCache],
         session_factory: Optional[Callable[[], object]],
     ) -> None:
         """In-process execution: the degradation and compatibility path.
 
         Per-job timeouts are not enforced here — a single process
         cannot preempt its own benchmark — so ``timeout`` only bounds
-        jobs in process-pool mode.
+        jobs in process-pool mode.  A failed job waits out its backoff
+        while later jobs run, as in pool mode.
 
-        Queue wait here is time spent behind earlier jobs of the same
-        run (the single in-process "worker" is busy with them), so the
+        Queue wait here is time spent behind other jobs of the same run
+        (the single in-process "worker" is busy with them), so the
         serial and pool paths report comparable utilization numbers.
         """
-        phase_start = time.perf_counter()
+        config = self.config
+        lifecycle = Lifecycle(1, retries=config.retries, backoff=config.backoff, inline=True)
+        now = time.perf_counter()
         for index in indices:
-            request = requests[index]
-            attempt = 0
-            ready_at = phase_start
-            queue_wait = 0.0
-            compute = 0.0
-            while True:
-                attempt += 1
-                self.tracer.emit("job_started", request, attempt=attempt)
-                start = time.perf_counter()
-                queue_wait += max(0.0, start - ready_at)
-                try:
-                    _apply_test_hooks(request.benchmark, attempt)
-                    session = (
-                        session_factory()
-                        if session_factory is not None
-                        else request.build_session()
-                    )
-                    report = execute_request(request, lambda: session)
-                except Exception as exc:
-                    if self.config.raise_on_error:
-                        raise
-                    wall = time.perf_counter() - start
-                    compute += wall
-                    error = f"{type(exc).__name__}: {exc}"
-                    if attempt <= self.config.retries:
-                        self.tracer.emit(
-                            "job_retried", request, attempt=attempt, detail=error
-                        )
-                        if telemetry.enabled():
-                            _metrics()["retries"].inc()
-                        time.sleep(self._backoff_delay(attempt))
-                        ready_at = time.perf_counter()
-                        continue
-                    result = RunResult(
-                        request=request,
-                        status="failed",
-                        error=error,
-                        attempts=attempt,
-                        wall_time_s=wall,
-                        index=index,
-                        queue_wait_s=queue_wait,
-                        compute_time_s=compute,
-                    )
-                else:
-                    wall = time.perf_counter() - start
-                    compute += wall
-                    result = self._ok_result(
-                        request,
-                        report_to_dict(report),
-                        attempt,
-                        wall,
-                        cache,
-                        index=index,
-                        queue_wait=queue_wait,
-                        compute=compute,
-                    )
-                    if self.config.collect_spans:
-                        from repro.obs import span_summary
+            lifecycle.add(index, now)
+        while lifecycle.unfinished:
+            now = time.perf_counter()
+            trips = lifecycle.dispatch(now)
+            if not trips:
+                # every open job is waiting out a backoff
+                time.sleep(max(0.0, lifecycle.next_wakeup() - now))
+                continue
+            (sub,) = trips
+            ((index, attempt),) = sub.members
+            request = self._requests[index]
+            self.tracer.emit("job_started", request, attempt=attempt)
+            try:
+                _apply_test_hooks(request.benchmark, attempt)
+                session = (session_factory or request.build_session)()
+                report = execute_request(request, lambda: session)
+            except Exception as exc:
+                if config.raise_on_error:
+                    raise
+                error = f"{type(exc).__name__}: {exc}"
+                self._apply(lifecycle.failed(sub, index, time.perf_counter(), error))
+                continue
+            now = time.perf_counter()
+            result = {"report": report_to_dict(report)}
+            if config.collect_spans:
+                from repro.obs import span_summary
 
-                        result.spans = span_summary(session.recorder)
-                results[index] = result
-                self._finish(request, result)
-                break
+                result["spans"] = span_summary(session.recorder)
+            self._complete(lifecycle.finished(sub, index, now, result=result))
 
     # -- worker-pool path -----------------------------------------------
-    def _run_pool(
-        self,
-        requests: Sequence[RunRequest],
-        indices: Sequence[int],
-        results: List[Optional[RunResult]],
-        cache: Optional[ResultCache],
-    ) -> int:
-        """Fan requests out over a worker pool with timeout + retry.
+    def _run_pool(self, indices: Sequence[int]) -> int:
+        """Fan requests out over a worker pool: the lifecycle's pool driver.
 
         The pool is either the engine's resident :class:`WorkerPool`
         (``Engine(..., pool=...)`` — reused across invocations, never
         shut down here) or a private one created and torn down for this
-        run.  At most ``workers`` submissions are in flight, so a job's
-        deadline starts when it is handed to the pool.  A timed-out job
-        that the pool cannot cancel forces a pool restart (the stuck
-        worker is abandoned); in-flight siblings are resubmitted at the
-        same attempt number.
-
-        **Batch dispatch**: first-attempt jobs whose pool EWMA estimate
-        marks them small are packed into one worker submission of at
-        most ``batch_max`` members or ``batch_target_s`` summed
-        estimated seconds, amortizing the per-submission pickle/IPC
-        toll that dominates sub-10 ms benchmarks.  Jobs with no estimate yet (cold pool) and jobs
-        estimated above ``batch_target_s / 2`` ship alone, so the heavy
-        subset never queues behind batch siblings; the first solo wave
-        seeds the EWMA and batching engages mid-run.  Granularity is
-        preserved per member: each gets its own ``RunResult``, cache
-        entry and store record; a failing member fails alone and
-        retries unbatched; a batch that exceeds its pooled deadline
-        (``timeout × members``) requeues every member solo at the same
-        attempt so the stuck one earns an individual timeout
-        attribution.
-
-        Retry backoff never blocks this scheduler loop: a retried job
-        re-enters the queue and is held back until its release time,
-        while the loop keeps draining completions and enforcing
-        sibling timeouts.  Queue entries are ``(index, attempt,
-        not_before, solo)`` with ``not_before=None`` for
-        immediately-runnable jobs and ``solo=True`` forcing unbatched
-        dispatch.
+        run.  The lifecycle decides what to submit (solo trips, and
+        batches sized by the pool's compute estimates), what is overdue,
+        what to retry and when to restart the pool; this loop submits,
+        waits for a returned trip or the next wakeup, and reports back.
 
         Returns the worker count actually used (the resident pool's
         size may differ from ``config.jobs``).
         """
-        import concurrent.futures as cf
-
-        config = self.config
         owned = self.pool is None
+        pool = self.pool or WorkerPool(self.config.jobs)
+        config, requests = self.config, self._requests
+        lifecycle = Lifecycle(
+            pool.workers,
+            retries=config.retries,
+            backoff=config.backoff,
+            timeout=config.timeout,
+            estimate=lambda index: pool.estimate(requests[index].benchmark),
+            batch_max=config.batch_max,
+            batch_target_s=config.batch_target_s,
+        )
+        now = time.perf_counter()
+        for index in indices:
+            lifecycle.add(index, now)
+        self._pool_phases = {"batches_submitted": 0.0, "batched_jobs": 0.0}
         try:
-            pool = self.pool or WorkerPool(config.jobs)
-        except Exception:  # pragma: no cover - restricted platforms
-            self._run_serial(requests, indices, results, cache, None)
-            return 1
-        workers = pool.workers
-
-        queue = deque((index, 1, None, False) for index in indices)
-        # future -> ("solo", (index, attempt), deadline, started)
-        #         | ("batch", [(index, attempt), ...], deadline, started)
-        inflight: Dict[object, tuple] = {}
-        # Per-job accumulators across attempts: worker-busy seconds and
-        # pool queue wait (submit-to-done wall minus in-worker compute).
-        compute: Dict[int, float] = {index: 0.0 for index in indices}
-        queue_wait: Dict[int, float] = {index: 0.0 for index in indices}
-        batches_submitted = 0
-        batched_jobs = 0
-        # A job batches only when its estimate leaves room for at least
-        # one sibling inside the batch target.
-        small_cutoff = config.batch_target_s / 2.0
-
-        def submit_solo(index: int, attempt: int) -> None:
-            request = requests[index]
-            self.tracer.emit("job_started", request, attempt=attempt)
-            if telemetry.enabled():
-                _metrics()["batch"].observe(1)
-            future = pool.submit(
-                request, attempt=attempt, spans=config.collect_spans
-            )
-            deadline = (
-                time.perf_counter() + config.timeout
-                if config.timeout is not None
-                else None
-            )
-            inflight[future] = (
-                "solo",
-                (index, attempt),
-                deadline,
-                time.perf_counter(),
-            )
-
-        def submit_batch(members) -> None:
-            nonlocal batches_submitted, batched_jobs
-            if len(members) == 1:
-                submit_solo(*members[0])
-                return
-            for index, attempt in members:
-                self.tracer.emit(
-                    "job_started", requests[index], attempt=attempt, batched=True
-                )
-            self.tracer.emit("batch_submitted", n=len(members))
-            if telemetry.enabled():
-                _metrics()["batch"].observe(len(members))
-            future = pool.submit_batch(
-                [(requests[index], attempt) for index, attempt in members],
-                spans=config.collect_spans,
-            )
-            # The batch runs its members sequentially on one worker, so
-            # the shared deadline is the per-job budget times the size.
-            deadline = (
-                time.perf_counter() + config.timeout * len(members)
-                if config.timeout is not None
-                else None
-            )
-            inflight[future] = ("batch", list(members), deadline, time.perf_counter())
-            batches_submitted += 1
-            batched_jobs += len(members)
-
-        def fail_or_retry(index, attempt, wall, error, kind) -> None:
-            request = requests[index]
-            if attempt <= config.retries:
-                self.tracer.emit(
-                    "job_retried", request, attempt=attempt, detail=error
-                )
-                if telemetry.enabled():
-                    _metrics()["retries"].inc()
-                queue.append(
-                    (
-                        index,
-                        attempt + 1,
-                        time.perf_counter() + self._backoff_delay(attempt),
-                        True,
-                    )
-                )
-                return
-            result = RunResult(
-                request=request,
-                status=kind,
-                error=error,
-                attempts=attempt,
-                wall_time_s=wall,
-                index=index,
-                queue_wait_s=queue_wait[index],
-                compute_time_s=compute[index],
-            )
-            results[index] = result
-            self._finish(request, result)
-
-        def finish_member(index, attempt, member, wall) -> None:
-            """Resolve one batch member from its worker-side record."""
-            request = requests[index]
-            if member.get("ok"):
-                job_compute = member.get("compute_time_s", 0.0)
-                compute[index] += job_compute
-                queue_wait[index] += max(0.0, wall - job_compute)
-                result = self._ok_result(
-                    request,
-                    member["report"],
-                    attempt,
-                    wall,
-                    cache,
-                    index=index,
-                    queue_wait=queue_wait[index],
-                    compute=compute[index],
-                )
-                result.spans = member.get("spans")
-                results[index] = result
-                self._finish(request, result)
-            else:
-                fail_or_retry(
-                    index,
-                    attempt,
-                    wall,
-                    member.get("error", "batch member failed"),
-                    "failed",
-                )
-
-        def requeue_solo(meta) -> None:
-            """Push an in-flight submission's jobs back, forced solo."""
-            kind, info, _, _ = meta
-            members = [info] if kind == "solo" else info
-            for index, attempt in reversed(members):
-                queue.appendleft((index, attempt, None, True))
-
-        try:
-            while queue or inflight:
+            while lifecycle.unfinished:
+                for sub in lifecycle.dispatch(time.perf_counter()):
+                    self._submit(pool, sub)
+                wakeup = lifecycle.next_wakeup()
                 now = time.perf_counter()
-                deferred = []
-                pending_batch: List[tuple] = []
-                pending_est = 0.0
-
-                def flush_batch() -> None:
-                    nonlocal pending_batch, pending_est
-                    if pending_batch:
-                        submit_batch(pending_batch)
-                        pending_batch = []
-                        pending_est = 0.0
-
-                while queue and len(inflight) < workers:
-                    index, attempt, not_before, solo = queue.popleft()
-                    if not_before is not None and now < not_before:
-                        deferred.append((index, attempt, not_before, solo))
-                        continue
-                    estimate = None
-                    if not solo and attempt == 1:
-                        estimate = pool.estimate(requests[index].benchmark)
-                    if estimate is not None and estimate <= small_cutoff:
-                        pending_batch.append((index, attempt))
-                        pending_est += estimate
-                        if (
-                            len(pending_batch) >= config.batch_max
-                            or pending_est >= config.batch_target_s
-                        ):
-                            flush_batch()
-                    else:
-                        submit_solo(index, attempt)
-                flush_batch()
-                queue.extend(deferred)
-
-                if not inflight:
-                    # Everything queued is waiting out a backoff window;
-                    # nothing can complete or time out meanwhile.
-                    release = min(nb for _, _, nb, _ in queue if nb is not None)
-                    time.sleep(max(0.0, release - time.perf_counter()))
-                    continue
-
+                timeout = None if wakeup is None else max(0.0, wakeup - now)
+                futures = [sub.handle for sub in lifecycle.inflight]
+                if futures:
+                    cf.wait(futures, timeout, cf.FIRST_COMPLETED)
+                else:
+                    time.sleep(timeout)  # every open job is in backoff
                 now = time.perf_counter()
-                wakeups = [m[2] for m in inflight.values() if m[2] is not None]
-                wakeups += [nb for _, _, nb, _ in queue if nb is not None]
-                wait_for = 0.25
-                if wakeups:
-                    wait_for = max(0.0, min(wakeups) - now) + 0.01
-                done, _ = cf.wait(
-                    set(inflight), timeout=wait_for, return_when=cf.FIRST_COMPLETED
-                )
-
-                for future in done:
-                    kind, info, _, started = inflight.pop(future)
-                    wall = time.perf_counter() - started
-                    members = [info] if kind == "solo" else info
-                    try:
-                        payload = future.result()
-                    except Exception as exc:
-                        error = f"{type(exc).__name__}: {exc}"
-                        share = wall / len(members)
-                        for index, attempt in members:
-                            compute[index] += share
-                            fail_or_retry(index, attempt, wall, error, "failed")
-                    else:
-                        if kind == "solo":
-                            index, attempt = info
-                            job_compute = payload.get("compute_time_s", wall)
-                            compute[index] += job_compute
-                            queue_wait[index] += max(0.0, wall - job_compute)
-                            result = self._ok_result(
-                                requests[index],
-                                payload["report"],
-                                attempt,
-                                wall,
-                                cache,
-                                index=index,
-                                queue_wait=queue_wait[index],
-                                compute=compute[index],
-                            )
-                            result.spans = payload.get("spans")
-                            results[index] = result
-                            self._finish(requests[index], result)
-                        else:
-                            for (index, attempt), member in zip(
-                                members, payload["members"]
-                            ):
-                                finish_member(index, attempt, member, wall)
-
-                # -- expire overdue submissions -------------------------
-                now = time.perf_counter()
-                expired = [
-                    (future, meta)
-                    for future, meta in inflight.items()
-                    if meta[2] is not None and now > meta[2]
-                ]
-                if not expired:
-                    continue
-                needs_restart = False
-                for future, meta in expired:
-                    del inflight[future]
-                    if not future.cancel():
-                        needs_restart = True
-                    kind, info, _, started = meta
-                    if kind == "solo":
-                        index, attempt = info
-                        compute[index] += now - started
-                        if telemetry.enabled():
-                            _metrics()["timeouts"].inc()
-                        fail_or_retry(
-                            index,
-                            attempt,
-                            now - started,
-                            f"timed out after {config.timeout:g}s",
-                            "timeout",
-                        )
-                    else:
-                        # One stuck member starves its siblings; rerun
-                        # everyone solo at the SAME attempt so the stuck
-                        # job earns an individual timeout attribution
-                        # and the innocents are not charged an attempt.
-                        requeue_solo(meta)
-                if needs_restart:
-                    # A running worker cannot be cancelled; abandon the
-                    # pool's executor and resubmit the surviving
-                    # in-flight jobs against fresh workers.
-                    survivors = list(inflight.values())
-                    inflight.clear()
-                    pool.restart()
-                    if telemetry.enabled():
-                        _metrics()["restarts"].inc()
-                    for meta in survivors:
-                        requeue_solo(meta)
+                for sub in lifecycle.inflight:
+                    if sub.handle.done():
+                        self._apply(returned(lifecycle, sub, now), pool)
+                # a trip whose future cannot be cancelled has a stuck worker
+                self._apply(lifecycle.expire(now, lambda sub: sub.handle.cancel()), pool)
         finally:
             if owned:
                 pool.shutdown(wait=False)
-        self._pool_phases["batches_submitted"] = float(batches_submitted)
-        self._pool_phases["batched_jobs"] = float(batched_jobs)
-        return workers
+        return pool.workers
+
+    def _submit(self, pool: WorkerPool, sub: Submission) -> None:
+        """Hand one trip to the pool; ``sub.handle`` is its future."""
+        requests, spans = self._requests, self.config.collect_spans
+        extra = {"batched": True} if sub.batched else {}
+        for index, attempt in sub.members:
+            self.tracer.emit("job_started", requests[index], attempt=attempt, **extra)
+        if telemetry.enabled():
+            _metrics()["batch"].observe(len(sub.members))
+        if not sub.batched:
+            ((index, attempt),) = sub.members
+            sub.handle = pool.submit(requests[index], attempt=attempt, spans=spans)
+            return
+        self.tracer.emit("batch_submitted", n=len(sub.members))
+        items = [(requests[index], attempt) for index, attempt in sub.members]
+        sub.handle = pool.submit_batch(items, spans=spans)
+        self._pool_phases["batches_submitted"] += 1
+        self._pool_phases["batched_jobs"] += len(sub.members)

@@ -16,14 +16,18 @@ the submission API is identical either way, and thread-mode results
 are byte-identical because workers execute the same
 :func:`_worker_run` payload protocol.
 
-Test hooks (``REPRO_ENGINE_INJECT_FAIL``/``REPRO_ENGINE_INJECT_SLEEP``)
-are honored inside workers exactly as in the serial path; see
-:mod:`repro.engine.executor` for their syntax.
+Test hooks: ``REPRO_ENGINE_INJECT_FAIL=bench:N`` makes attempts
+``<= N`` of ``bench`` raise (``N`` < 0 or missing: every attempt);
+``REPRO_ENGINE_INJECT_SLEEP=bench:SECONDS`` delays the job (for
+exercising timeouts); ``REPRO_ENGINE_FORCE_SERIAL=1`` disables the
+process pool.  Hooks apply in workers and in the engine's serial mode
+alike.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures as cf
 import os
 import threading
 import time
@@ -43,6 +47,10 @@ ENV_FORCE_SERIAL = "REPRO_ENGINE_FORCE_SERIAL"
 
 class InjectedFailure(RuntimeError):
     """Raised by the test-only failure-injection hook."""
+
+
+class SubmitRefused(cf.BrokenExecutor):
+    """A broken executor refused a submission: nothing of it ran."""
 
 
 def _parse_injection(spec: str, benchmark: str) -> Optional[float]:
@@ -160,7 +168,6 @@ def _pool_supported() -> bool:
     if os.environ.get(ENV_FORCE_SERIAL):
         return False
     try:
-        import concurrent.futures  # noqa: F401
         import multiprocessing
 
         multiprocessing.get_context()
@@ -172,6 +179,57 @@ def _pool_supported() -> bool:
 def _noop() -> bool:
     """Warmup probe: returns once the worker exists (and has imported)."""
     return True
+
+
+def _enqueue(executor, fn, payload: Dict) -> cf.Future:
+    """Hand one payload to ``executor``; a broken one refuses it.
+
+    An executor breaks when one of its workers dies, and from then on
+    refuses every submission.  The refusal comes back as a future that
+    failed with :class:`SubmitRefused` (nothing ran), unlike the
+    executor's own error on the futures that were in flight.
+    """
+    try:
+        return executor.submit(fn, payload)
+    except cf.BrokenExecutor as exc:
+        future: cf.Future = cf.Future()
+        future.set_exception(SubmitRefused(str(exc)))
+        return future
+
+
+def returned(lifecycle, sub, now: float) -> list:
+    """Feed one returned trip (``sub.handle`` is done) to ``lifecycle``.
+
+    The handle is a future or an asyncio task of :class:`WorkerPool`
+    submissions; its outcome becomes the lifecycle event it stands for,
+    and the lifecycle's actions come back.  A succeeded member's
+    :class:`~repro.engine.lifecycle.Finish` carries the worker's payload
+    (``report``, ``compute_time_s``, ``spans``) as ``result``.
+    """
+    handle = sub.handle
+    if handle.cancelled():
+        return lifecycle.withdrawn(sub, now)
+    exc = handle.exception()
+    if isinstance(exc, SubmitRefused):
+        return lifecycle.refused(sub, now)
+    error = f"{type(exc).__name__}: {exc}"
+    if isinstance(exc, cf.BrokenExecutor):
+        return lifecycle.broken(sub, now, error)
+    actions: list = []
+    if exc is not None:
+        for key, _ in sub.members:
+            actions += lifecycle.failed(sub, key, now, error)
+        return actions
+    payload = handle.result()
+    members = payload["members"] if sub.batched else [payload]
+    for (key, _), member in zip(sub.members, members):
+        if member.get("ok", True):
+            compute = member.get("compute_time_s")
+            actions.append(lifecycle.finished(sub, key, now, compute, member))
+        else:
+            error = member.get("error", "batch member failed")
+            actions += lifecycle.failed(sub, key, now, error, compute=0.0)
+    return actions
 
 
 class WorkerPool:
@@ -227,8 +285,6 @@ class WorkerPool:
 
     # -- lifecycle ------------------------------------------------------
     def _make_executor(self):
-        import concurrent.futures as cf
-
         if self.process_based:
             try:
                 return cf.ProcessPoolExecutor(
@@ -260,8 +316,6 @@ class WorkerPool:
         the first real job finds warm interpreters.  Safe to call more
         than once; later calls are near-free.
         """
-        import concurrent.futures as cf
-
         executor = self._ensure()
         started = time.perf_counter()
         futures = [executor.submit(_noop) for _ in range(self.workers)]
@@ -323,7 +377,7 @@ class WorkerPool:
             "attempt": attempt,
             "spans": spans,
         }
-        future = executor.submit(_worker_run, payload)
+        future = _enqueue(executor, _worker_run, payload)
         benchmark = request.benchmark
 
         def _note(fut) -> None:
@@ -364,7 +418,7 @@ class WorkerPool:
                 for request, attempt in items
             ]
         }
-        future = self._ensure().submit(_worker_run_batch, payload)
+        future = _enqueue(self._ensure(), _worker_run_batch, payload)
         benchmarks = [request.benchmark for request, _ in items]
 
         def _note(fut) -> None:

@@ -13,6 +13,8 @@ Safety model (what ``repro serve`` relies on):
 * **record appends** — one serialized line per record, written under a
   per-shard ``flock`` (plus an in-process mutex for threads sharing
   the store object), so lines from concurrent writers never interleave;
+  a torn tail left by a killed writer is cut before the next append,
+  and readers skip an unterminated last line;
 * **stats sidecars** — ``<root>/stats/<run_id>.json`` written via
   per-writer tmp file + atomic rename
   (:func:`~repro.engine.store.write_json_atomic`);
@@ -35,7 +37,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.engine.store import StoreReader, write_json_atomic
+from repro.engine.store import StoreReader, cut_torn_tail, read_records, write_json_atomic
 
 try:  # POSIX inter-process file locking; absent on some platforms
     import fcntl
@@ -158,11 +160,12 @@ class ShardedRunStore(StoreReader):
         for key, lines in sorted(by_shard.items()):
             path = self.shard_path(key)
             with self._shard_mutex(key):
-                with path.open("a", encoding="utf-8") as fh:
+                with path.open("a+b") as fh:
                     if fcntl is not None:
                         fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
                     try:
-                        fh.write("".join(lines))
+                        cut_torn_tail(fh)
+                        fh.write("".join(lines).encode("utf-8"))
                         fh.flush()
                     finally:
                         if fcntl is not None:
@@ -178,11 +181,7 @@ class ShardedRunStore(StoreReader):
         """
         out: List[Dict] = []
         for key in self.shard_keys():
-            with self.shard_path(key).open(encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        out.append(json.loads(line))
+            out.extend(read_records(self.shard_path(key)))
         out.sort(key=lambda r: r.get("ts") or 0.0)
         return out
 
@@ -192,13 +191,8 @@ class ShardedRunStore(StoreReader):
         path = self.shard_path(key)
         if not path.exists():
             return []
-        out = []
-        with path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    record = json.loads(line)
-                    if record.get("request_hash") == request_hash:
-                        out.append(record)
+        out = [
+            r for r in read_records(path) if r.get("request_hash") == request_hash
+        ]
         out.sort(key=lambda r: r.get("ts") or 0.0)
         return out

@@ -46,6 +46,45 @@ def write_json_atomic(path: Path, record: Dict) -> Path:
     return path
 
 
+def read_records(path: Path) -> List[Dict]:
+    """The records of one JSONL store file, in append order.
+
+    A writer killed mid-append leaves its last line without a newline,
+    and a reader racing a live append can see one too: such a line is
+    not a record yet and is skipped.  A corrupt line that ends in a
+    newline still raises.
+    """
+    with path.open(encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    return [json.loads(line) for line in lines[:-1] if line.strip()]
+
+
+def cut_torn_tail(fh) -> None:
+    """Truncate an unterminated last line back to the last newline.
+
+    ``fh`` is a store file opened ``"a+b"``, held under the writer's
+    lock.  A writer killed mid-append leaves such a fragment; appending
+    after it would glue the next record onto it and leave that line
+    unreadable for good.
+    """
+    size = fh.seek(0, os.SEEK_END)
+    if size == 0:
+        return
+    fh.seek(size - 1)
+    if fh.read(1) == b"\n":
+        return
+    pos = size
+    while pos > 0:
+        start = max(0, pos - 4096)
+        fh.seek(start)
+        found = fh.read(pos - start).rfind(b"\n")
+        if found >= 0:
+            fh.truncate(start + found + 1)
+            return
+        pos = start
+    fh.truncate(0)
+
+
 def open_store(path: Union[str, Path]):
     """Open the right store flavor for ``path``.
 
@@ -187,32 +226,24 @@ class RunStore(StoreReader):
     # -- writing --------------------------------------------------------
     def append(self, record: Dict) -> None:
         """Append one record (a single JSON line, flushed)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        self.extend([record])
 
     def extend(self, records: Iterable[Dict]) -> None:
-        """Append many records in one file handle."""
-        records = list(records)
-        if not records:
+        """Append many records in one write."""
+        text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
+        if not text:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            for record in records:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+        with self.path.open("a+b") as fh:
+            cut_torn_tail(fh)
+            fh.write(text.encode("utf-8"))
 
     # -- reading --------------------------------------------------------
     def records(self) -> List[Dict]:
         """All records in append order (empty if the file is missing)."""
         if not self.path.exists():
             return []
-        out = []
-        with self.path.open(encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    out.append(json.loads(line))
-        return out
+        return read_records(self.path)
 
 
 def make_record(run_id: str, result) -> Dict:

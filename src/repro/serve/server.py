@@ -18,11 +18,12 @@ no matter how many clients ask for it concurrently:
    (clients retry; the queue is bounded, and completed jobs beyond
    ``max_done_jobs`` are evicted to the disk cache, so memory is
    bounded too);
-5. **execute** — the job waits (untimed) for one of ``workers``
-   dispatch slots, then runs on the warm pool via ``pool.submit_async``
-   with the engine's timeout/retry/backoff semantics: the timeout
-   clock starts when the job is handed to the pool, not when it was
-   admitted, and a timed-out worker forces a pool restart.
+5. **execute** — one scheduler loop drives the job through the
+   engine's :class:`~repro.engine.lifecycle.Lifecycle`: at most
+   ``workers`` jobs run on the warm pool at once via
+   ``pool.submit_async``, the timeout clock starts when a job is handed
+   to the pool (not when it was admitted), failed attempts retry with
+   backoff, and a stuck worker or a broken executor restarts the pool.
 
 Completions persist exactly like engine runs do — a cache entry and a
 sharded store record per job, one ``.stats`` sidecar when the run ends
@@ -48,7 +49,8 @@ from urllib.parse import parse_qs, urlsplit
 from repro.engine.cache import ResultCache
 from repro.engine.executor import RunResult
 from repro.engine.jobs import RunRequest
-from repro.engine.pool import WorkerPool, _pool_supported
+from repro.engine.lifecycle import Finish, Lifecycle, Restart, Submission
+from repro.engine.pool import WorkerPool, _pool_supported, returned
 from repro.engine.shards import ShardedRunStore
 from repro.engine.stats import StatsAccumulator
 from repro.engine.store import RunStore, make_record, new_run_id
@@ -144,12 +146,14 @@ class ServeApp:
         self._stats_acc = StatsAccumulator(
             self.run_id, workers=self.config.workers
         )
-        # at most `workers` submissions in flight (engine semantics: a
-        # job's deadline starts when it reaches the pool); safe to
-        # create outside the loop on py3.10+ (lazy loop binding)
-        self._slots = asyncio.Semaphore(self.config.workers)
+        config = self.config
+        # keyed by request hash: at most one open job per hash
+        self._lifecycle = Lifecycle(
+            config.workers, retries=config.retries, backoff=config.backoff, timeout=config.timeout
+        )
+        #: resolved to wake the scheduler loop
+        self._kick: Optional[asyncio.Future] = None
         self._done_order: "deque[str]" = deque()
-        self._active_count = 0
         self._job_index = 0
         self._started_at = time.monotonic()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -262,7 +266,7 @@ class ServeApp:
                 counters[outcome]
             )
         self._m_dedupe_rate.set(counters["dedupe_hit_rate"])
-        self._m_queue_depth.set(self._active_count)
+        self._m_queue_depth.set(self._active())
         self._m_subscribers.set(self.fanout.subscribers)
         self._m_dropped.set(self.fanout.dropped)
         self._m_restarts.set(max(0, self.pool.generation - 1))
@@ -295,6 +299,7 @@ class ServeApp:
         """
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
+        self._kick = self._loop.create_future()
         if self.config.warmup and _pool_supported():
             await self._loop.run_in_executor(None, self.pool.warmup)
         self._server = await asyncio.start_server(
@@ -313,10 +318,15 @@ class ServeApp:
         if ready is not None:
             ready.set()
         try:
-            await self._shutdown.wait()
+            await self._schedule()
         finally:
             self._server.close()
             await self._server.wait_closed()
+            for sub in self._lifecycle.inflight:
+                sub.handle.cancel()
+            # every open job reaches done and its waiters are released
+            for finish in self._lifecycle.shutdown(time.monotonic()):
+                self._complete(finish)
             self._finalize()
             # let open /events handlers observe the shutdown event and
             # unwind before the loop is torn down under them
@@ -359,7 +369,16 @@ class ServeApp:
     def request_shutdown(self) -> None:
         """Ask the server to stop; safe to call from any thread."""
         if self._loop is not None and self._shutdown is not None:
-            self._loop.call_soon_threadsafe(self._shutdown.set)
+            self._loop.call_soon_threadsafe(self._stop)
+
+    def _stop(self) -> None:
+        self._shutdown.set()
+        self._nudge()
+
+    def _nudge(self) -> None:
+        """Wake the scheduler loop."""
+        if not self._kick.done():
+            self._kick.set_result(None)
 
     # -- HTTP front end -------------------------------------------------
     async def _handle(self, reader, writer) -> None:
@@ -482,7 +501,7 @@ class ServeApp:
         elif path == "/shutdown" and method == "POST":
             self._respond(writer, 200, {"api": API_VERSION, "ok": True})
             await writer.drain()
-            self._shutdown.set()
+            self._stop()
         elif path in (
             "/healthz", "/stats", "/metrics", "/submit", "/events",
             "/shutdown",
@@ -525,9 +544,8 @@ class ServeApp:
         }
 
     def _active(self) -> int:
-        # tracked incrementally (+1 per admitted execution, -1 per
-        # completion) instead of scanning every retained job per submit
-        return self._active_count
+        """Admitted jobs not yet done: the lifecycle's open jobs."""
+        return self._lifecycle.unfinished
 
     # -- submission / dedupe --------------------------------------------
     def _client_key(self, writer, headers) -> str:
@@ -583,6 +601,9 @@ class ServeApp:
             self._respond(writer, 200, job_payload(cached, source="cache"))
             return
 
+        if self._shutdown.is_set():  # no job admitted now could finish
+            self._respond(writer, 503, error_payload("server shutting down"))
+            return
         if self._active() >= self.config.max_queue:
             self.counters.rejected_queue += 1
             retry_after = self.config.timeout or 0.25
@@ -604,8 +625,8 @@ class ServeApp:
         )
         self._job_index += 1
         self.jobs[request_hash] = job
-        self._active_count += 1
-        asyncio.ensure_future(self._execute(job))
+        self._lifecycle.add(request_hash, time.monotonic())
+        self._nudge()
         await self._answer(writer, job, wait, timeout, source="executed")
 
     async def _answer(self, writer, job, wait, timeout, *, source) -> None:
@@ -687,142 +708,96 @@ class ServeApp:
         return job
 
     # -- execution ------------------------------------------------------
-    async def _execute(self, job: Job) -> None:
-        config = self.config
-        job.state = "running"
-        job.started_at = time.monotonic()
-        attempt = 0
-        status = "failed"
-        error = ""
-        payload: Optional[Dict] = None
-        compute = 0.0
-        wall = 0.0
-        try:
-            while True:
-                attempt += 1
-                try:
-                    # wait (untimed) for a dispatch slot: the timeout
-                    # clock must start when the job reaches the pool,
-                    # or jobs queued behind a slow sibling burn their
-                    # budget without ever running
-                    await self._slots.acquire()
-                except asyncio.CancelledError:
-                    status = "failed"
-                    error = "cancelled at server shutdown"
-                    break
-                started = time.monotonic()
-                try:
-                    # workers always return a span summary: it rides in
-                    # the job payload, the job_finished event and the
-                    # stats sidecar
-                    payload = await asyncio.wait_for(
-                        self.pool.submit_async(
-                            job.request, attempt=attempt, spans=True
-                        ),
-                        config.timeout,
-                    )
-                except asyncio.CancelledError:
-                    # A sibling's timeout restarted the pool
-                    # (cancel_futures=True cancels our still-queued
-                    # submission) — or the server is tearing down.
-                    # CancelledError is a BaseException, so without
-                    # this clause it would kill the task with the job
-                    # stuck "running" and its waiters stranded.  Mirror
-                    # Engine._run_pool: resubmit the survivor against
-                    # the fresh executor at the same attempt number; at
-                    # shutdown, finalize as failed instead.
-                    wall += time.monotonic() - started
-                    if self._shutdown is None or self._shutdown.is_set():
-                        status = "failed"
-                        error = "cancelled at server shutdown"
-                        break
-                    attempt -= 1
-                    continue
-                except asyncio.TimeoutError:
-                    spent = time.monotonic() - started
-                    wall += spent
-                    compute += spent
-                    status, error = "timeout", (
-                        f"timed out after {config.timeout:g}s"
-                    )
-                    # the stuck worker cannot be reclaimed; abandon the
-                    # executor so the pool is healthy for the next job
-                    self.pool.restart()
-                    if telemetry.enabled():
-                        self._m_timeouts.inc()
-                except Exception as exc:
-                    spent = time.monotonic() - started
-                    wall += spent
-                    compute += spent
-                    status, error = "failed", f"{type(exc).__name__}: {exc}"
-                else:
-                    attempt_wall = time.monotonic() - started
-                    wall += attempt_wall
-                    compute += payload.get("compute_time_s", attempt_wall)
-                    status, error = "ok", ""
-                    break
-                finally:
-                    # slot freed per attempt: backoff sleeps and the
-                    # final bookkeeping never hold a worker hostage
-                    self._slots.release()
-                if attempt <= config.retries:
-                    if telemetry.enabled():
-                        self._m_retries.inc()
-                    await asyncio.sleep(config.backoff * (2 ** (attempt - 1)))
-                    continue
-                break
-        finally:
-            # Finalization runs however the loop exits — including a
-            # task cancellation during retry backoff: the job must
-            # reach "done" and its future must resolve, or riders wait
-            # forever and the admission slot leaks.
-            job.attempts = max(1, attempt)
-            job.wall_time_s = wall
-            job.status = status
-            job.error = error
-            if status == "ok" and payload is not None:
-                job.report_record = payload["report"]
-                job.spans = payload.get("spans")
-            job.state = "done"
-            job.finished_at = time.monotonic()
-            self._active_count -= 1
-            if telemetry.enabled():
-                self._m_dispatch.observe(max(0.0, wall - compute))
-            try:
-                if status == "ok" and self.cache is not None:
-                    self.cache.put(
-                        job.request,
-                        {
-                            "request": job.request.to_dict(),
-                            "request_hash": job.request_hash,
-                            "status": "ok",
-                            "wall_time_s": wall,
-                            "report": job.report_record,
-                        },
-                    )
-                self._record(
-                    job,
-                    queue_wait=max(0.0, wall - compute),
-                    compute=compute,
+    async def _schedule(self) -> None:
+        """The lifecycle's serve driver, until shutdown.
+
+        Each pass hands released jobs to the pool, waits for a returned
+        attempt, an admitted job (the kick) or the lifecycle's next
+        wakeup, and reports what happened back to the lifecycle.
+        """
+        lifecycle = self._lifecycle
+        while not self._shutdown.is_set():
+            now = time.monotonic()
+            for sub in lifecycle.dispatch(now):
+                ((request_hash, attempt),) = sub.members
+                job = self.jobs[request_hash]
+                job.state, job.started_at = "running", job.started_at or now
+                # workers always return a span summary: it rides in the
+                # job payload, the job_finished event and the sidecar
+                sub.handle = asyncio.ensure_future(
+                    self.pool.submit_async(job.request, attempt=attempt, spans=True)
                 )
-                if (
-                    self.cache is not None
-                    and config.cache_max_bytes is not None
-                    and self.counters.executed % max(1, config.prune_every)
-                    == 0
-                ):
-                    self.cache.prune(max_bytes=config.cache_max_bytes)
-                    if telemetry.enabled():
-                        self._m_evicted_files.inc(
-                            self.cache.last_prune["files"]
-                        )
-                        self._m_evicted_bytes.inc(
-                            self.cache.last_prune["bytes"]
-                        )
-            except Exception as exc:  # persistence must not strand waiters
-                job.error = job.error or f"persist: {exc}"
-            if job.future is not None and not job.future.done():
-                job.future.set_result(job)
+            if self._kick.done():
+                self._kick = self._loop.create_future()
+            wakeup = lifecycle.next_wakeup()
+            await asyncio.wait(
+                [sub.handle for sub in lifecycle.inflight] + [self._kick],
+                timeout=None if wakeup is None else max(0.0, wakeup - now),
+                return_when=asyncio.FIRST_COMPLETED,
+            )
+            now = time.monotonic()
+            for sub in lifecycle.inflight:
+                if sub.handle.done():
+                    self._apply(returned(lifecycle, sub, now))
+            self._apply(lifecycle.expire(now, self._abandon))
+
+    @staticmethod
+    def _abandon(sub: Submission) -> bool:
+        """Drop an overdue attempt: its worker cannot be reclaimed."""
+        sub.handle.cancel()
+        return False
+
+    def _apply(self, actions) -> None:
+        """Carry out the lifecycle's actions: metrics, restarts, results."""
+        for action in actions:
+            if isinstance(action, Restart):
+                for sub in action.abandoned:
+                    sub.handle.cancel()
+                self.pool.restart()
+                continue
+            if action.status == "timeout" and telemetry.enabled():
+                self._m_timeouts.inc()
+            if isinstance(action, Finish):
+                self._complete(action)
+            elif telemetry.enabled():
+                self._m_retries.inc()
+
+    def _complete(self, finish: Finish) -> None:
+        """Persist a finished job, then release its waiters.
+
+        Runs however the job ended, at shutdown too: riders of a job
+        that never reaches "done" would wait forever.
+        """
+        config = self.config
+        job = self.jobs[finish.key]
+        job.attempts = finish.attempts
+        job.wall_time_s = finish.wall_s
+        job.status = finish.status
+        job.error = finish.error
+        if finish.result is not None:
+            job.report_record = finish.result["report"]
+            job.spans = finish.result.get("spans")
+        job.state = "done"
+        job.finished_at = time.monotonic()
+        if telemetry.enabled():
+            self._m_dispatch.observe(finish.queue_wait_s)
+        try:
+            if finish.result is not None and self.cache is not None:
+                self.cache.put_report(job.request, job.report_record, finish.wall_s)
+            self._record(job, queue_wait=finish.queue_wait_s, compute=finish.compute_s)
+            if (
+                self.cache is not None
+                and config.cache_max_bytes is not None
+                and self.counters.executed % max(1, config.prune_every) == 0
+            ):
+                self.cache.prune(max_bytes=config.cache_max_bytes)
+                if telemetry.enabled():
+                    self._m_evicted_files.inc(self.cache.last_prune["files"])
+                    self._m_evicted_bytes.inc(self.cache.last_prune["bytes"])
+        except Exception as exc:  # persistence must not strand waiters
+            job.error = job.error or f"persist: {exc}"
+        if job.future is not None and not job.future.done():
+            job.future.set_result(job)
 
     # -- persistence + events -------------------------------------------
     def _record(

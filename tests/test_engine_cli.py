@@ -11,7 +11,7 @@ import pytest
 
 from repro.cli import main
 from repro.engine import RunStore
-from repro.engine.executor import ENV_INJECT_FAIL
+from repro.engine.pool import ENV_INJECT_FAIL
 
 
 @pytest.fixture

@@ -17,13 +17,15 @@ from repro.engine import (
     RunStore,
     plan_suite,
 )
-from repro.engine.executor import (
+from repro.engine.lifecycle import Finish, Lifecycle, Restart, Retry
+from repro.engine.pool import (
     ENV_FORCE_SERIAL,
     ENV_INJECT_FAIL,
     ENV_INJECT_SLEEP,
+    WorkerPool,
     _parse_injection,
+    _pool_supported,
 )
-from repro.engine.pool import WorkerPool
 from repro.engine.trace import Tracer
 from repro.metrics.serialize import canonical_report_json
 from repro.suite import run_suite
@@ -157,45 +159,35 @@ class TestFaultTolerance:
 
 
 class TestBackoffScheduling:
-    def test_sibling_timeout_fires_during_backoff(self, monkeypatch):
-        """Acceptance: retry backoff must not stall the scheduler loop.
+    def test_sibling_timeout_fires_during_backoff(self):
+        """Acceptance: retry backoff must not stall the scheduler.
 
         ``fft`` fails fast and enters a long (4 s) retry backoff while
-        ``gmo`` sleeps past its 1 s timeout.  The backoff used to be a
-        blocking ``time.sleep`` inside the pool loop, so gmo's timeout
-        was only enforced after the backoff drained; with per-job
-        not-before deadlines the timeout fires on schedule.
+        ``gmo`` hangs past its 1 s timeout.  The backoff is a release
+        time, not a sleep: the next wakeup is gmo's deadline, so its
+        timeout fires on schedule.  Synthetic times on the engine's
+        lifecycle settings.
         """
-        import time
-
-        from repro.engine import Tracer
-
-        monkeypatch.setenv(ENV_INJECT_FAIL, "fft")
-        monkeypatch.setenv(ENV_INJECT_SLEEP, "gmo:30")
-        events = []
-        tracer = Tracer(
-            callback=lambda e: events.append(
-                (e.kind, e.benchmark, time.perf_counter())
-            )
-        )
-        start = time.perf_counter()
-        results = Engine(
-            EngineConfig(jobs=2, retries=1, backoff=4.0, timeout=1.0),
-            tracer=tracer,
-        ).run(plan_suite(["fft", "gmo"], params=SUBSET_PARAMS))
-
-        by_name = {r.request.benchmark: r for r in results}
-        assert by_name["fft"].status == "failed"
-        assert by_name["fft"].attempts == 2
-        assert by_name["gmo"].status == "timeout"
-        # gmo's first timeout (a job_retried event, since retries=1)
-        # must be recorded well before fft's 4 s backoff expires.
-        gmo_timeout_at = next(
-            t
-            for kind, bench, t in events
-            if bench == "gmo" and kind in ("job_retried", "job_finished")
-        )
-        assert gmo_timeout_at - start < 3.5
+        lifecycle = Lifecycle(2, retries=1, backoff=4.0, timeout=1.0)
+        lifecycle.add("fft", 0.0)
+        lifecycle.add("gmo", 0.0)
+        fft, gmo = lifecycle.dispatch(0.0)
+        (retry,) = lifecycle.failed(fft, "fft", 0.01, "InjectedFailure: boom")
+        assert retry.at == pytest.approx(4.01)
+        # gmo's first timeout is due well before fft's backoff expires
+        assert lifecycle.next_wakeup() == 1.0
+        assert lifecycle.dispatch(0.5) == []
+        actions = lifecycle.expire(1.0, cancel=lambda trip: False)
+        gmo_timeout = next(a for a in actions if isinstance(a, Retry))
+        assert (gmo_timeout.key, gmo_timeout.status) == ("gmo", "timeout")
+        assert lifecycle.next_wakeup() == pytest.approx(4.01)
+        (fft,) = lifecycle.dispatch(4.01)
+        (fft_done,) = lifecycle.failed(fft, "fft", 4.02, "InjectedFailure: boom")
+        assert (fft_done.status, fft_done.attempts) == ("failed", 2)
+        (gmo,) = lifecycle.dispatch(lifecycle.next_wakeup())
+        assert gmo.members == [("gmo", 2)]
+        (gmo_done,) = lifecycle.expire(gmo.deadline, cancel=lambda trip: True)
+        assert (gmo_done.status, gmo_done.attempts) == ("timeout", 2)
 
     def test_jobs_in_backoff_still_complete(self, monkeypatch):
         """Backoff-queued retries run after their release time."""
@@ -366,33 +358,34 @@ class TestBatchDispatch:
         assert retry_starts
         assert all(not e.extra.get("batched") for e in retry_starts)
 
-    def test_expired_batch_times_out_only_the_stuck_member(
-        self, monkeypatch
-    ):
+    def test_expired_batch_times_out_only_the_stuck_member(self):
         """Timeout attribution stays per-member after a batch expiry.
 
         The stuck job starves its batch past the pooled deadline; every
         member is requeued solo at the same attempt, where the stuck
         one earns an individual ``timeout`` and the innocent sibling
         completes ``ok`` without being charged an extra attempt.
+        Synthetic times; both jobs are estimated small.
         """
-        monkeypatch.setenv(ENV_INJECT_SLEEP, "fft:30")
-        pool = self._seeded_pool(["fft", "gmo"])
-        try:
-            engine = Engine(
-                EngineConfig(jobs=1, timeout=0.5), pool=pool
-            )
-            results = engine.run(
-                plan_suite(["fft", "gmo"], params=SUBSET_PARAMS)
-            )
-        finally:
-            pool.shutdown()
-        by_name = {r.request.benchmark: r for r in results}
-        assert by_name["fft"].status == "timeout"
-        assert "timed out after 0.5s" in by_name["fft"].error
-        assert by_name["fft"].attempts == 1
-        assert by_name["gmo"].status == "ok"
-        assert by_name["gmo"].attempts == 1
+        lifecycle = Lifecycle(1, timeout=0.5, estimate=lambda key: 0.001)
+        lifecycle.add("fft", 0.0)
+        lifecycle.add("gmo", 0.0)
+        (batch,) = lifecycle.dispatch(0.0)
+        assert batch.members == [("fft", 1), ("gmo", 1)]
+        assert batch.deadline == 1.0  # the per-job budget times the size
+        assert lifecycle.expire(1.0, cancel=lambda trip: False) == [Restart([])]
+        (fft,) = lifecycle.dispatch(1.0)
+        assert fft.members == [("fft", 1)]
+        (finish,) = [
+            a
+            for a in lifecycle.expire(1.5, cancel=lambda trip: False)
+            if isinstance(a, Finish)
+        ]
+        assert (finish.key, finish.status, finish.attempts) == ("fft", "timeout", 1)
+        assert "timed out after 0.5s" in finish.error
+        (gmo,) = lifecycle.dispatch(1.5)
+        finish = lifecycle.finished(gmo, "gmo", 1.6)
+        assert (finish.status, finish.attempts) == ("ok", 1)
 
     def test_batch_members_get_individual_cache_entries(self, tmp_path):
         cache = tmp_path / "cache"
@@ -426,6 +419,139 @@ class TestBatchDispatch:
         fresh = [n for n in SUBSET if n not in ("fft", "lu")]
         assert all(statuses[n] == "ok" for n in fresh)
         assert engine.last_run_stats.phases["batched_jobs"] == len(fresh)
+
+
+class _FakePool:
+    """A WorkerPool stand-in on a stopped clock: each wait of the
+    engine takes one second and returns every trip submitted so far,
+    with fixed compute figures."""
+
+    def __init__(self, workers, estimates, figures, report):
+        self.workers, self.now = workers, 100.0
+        self.estimates, self.figures, self.report = estimates, figures, report
+        self.trips, self.pending = [], []
+
+    # the engine's clock (its ``time`` module) and its wait
+    def perf_counter(self):
+        return self.now
+
+    def wait(self, fs, timeout=None, return_when=None):
+        self.now += 1.0
+        for future, payload in self.pending:
+            future.set_result(payload)
+        self.pending = []
+        return set(fs), set()
+
+    # the pool
+    def estimate(self, benchmark):
+        return self.estimates.get(benchmark)
+
+    def _member(self, request):
+        figure = self.figures.get(request.benchmark, 0.0)
+        return {"ok": True, "report": self.report, "compute_time_s": figure}
+
+    def _trip(self, requests, payload):
+        import concurrent.futures as cf
+
+        self.trips.append([r.benchmark for r in requests])
+        future = cf.Future()
+        self.pending.append((future, payload))
+        return future
+
+    def submit(self, request, *, attempt=1, spans=False):
+        return self._trip([request], self._member(request))
+
+    def submit_batch(self, items, *, spans=False):
+        requests = [request for request, _ in items]
+        return self._trip(requests, {"members": [self._member(r) for r in requests]})
+
+
+class TestAccounting:
+    """Happy-path accounting and packing, pinned on a fake pool and a
+    stopped clock: compute is the worker's figure, queue wait is the
+    trip's wall minus it, wall is the trip's, one attempt each."""
+
+    @pytest.fixture
+    def report(self):
+        from repro.engine.jobs import RunRequest, execute_request
+        from repro.metrics.serialize import report_to_dict
+
+        return report_to_dict(execute_request(RunRequest("fft", params={"n": 64})))
+
+    def _run(self, monkeypatch, report, names, workers, estimates, figures):
+        import concurrent.futures
+
+        import repro.engine.executor as executor
+        from repro.engine.jobs import RunRequest
+
+        pool = _FakePool(workers, estimates, figures, report)
+        monkeypatch.setattr(executor, "time", pool)
+        monkeypatch.setattr(concurrent.futures, "wait", pool.wait)
+        requests = [RunRequest(name) for name in names]
+        results = Engine(EngineConfig(jobs=workers), pool=pool).run(requests)
+        return pool, {r.request.benchmark: r for r in results}
+
+    def test_solo_and_batched_accounting(self, monkeypatch, report):
+        figures = {"fft": 0.25, "lu": 0.5, "gmo": 0.125, "md": 0.375}
+        pool, solo = self._run(monkeypatch, report, ["fft", "lu"], 1, {}, figures)
+        assert pool.trips == [["fft"], ["lu"]]
+        estimates = {"gmo": 0.01, "md": 0.01}
+        pool, batched = self._run(monkeypatch, report, ["gmo", "md"], 1, estimates, figures)
+        assert pool.trips == [["gmo", "md"]]
+        for result in [*solo.values(), *batched.values()]:
+            figure = figures[result.request.benchmark]
+            assert result.status == "ok"
+            assert result.attempts == 1
+            assert result.compute_time_s == figure
+            assert result.wall_time_s == 1.0
+            assert result.queue_wait_s == 1.0 - figure
+
+    def test_packing_order(self, monkeypatch, report):
+        """Small first attempts fill the open batch in queue order;
+        heavy and unestimated jobs ship solo as they come up."""
+        estimates = {
+            "fft": 0.0625, "lu": 0.0625, "n-body": 0.2, "gmo": 0.0625,
+            "md": 0.0625, "jacobi": 0.0625,
+        }
+        names = ["fft", "lu", "n-body", "gmo", "ellip-2d", "md", "jacobi"]
+        pool, results = self._run(monkeypatch, report, names, 4, estimates, {})
+        assert pool.trips == [["n-body"], ["ellip-2d"], ["fft", "lu", "gmo", "md"], ["jacobi"]]
+        assert all(r.status == "ok" for r in results.values())
+
+
+class TestBrokenPool:
+    @pytest.mark.skipif(
+        not _pool_supported(), reason="process pool unavailable"
+    )
+    def test_worker_killed_mid_run(self):
+        """A worker killed after the first result breaks the executor:
+        the pool restarts, the attempts it broke are retried, and
+        every request still gets an ``ok`` result."""
+        import os
+        import signal
+
+        from repro.engine.jobs import RunRequest
+
+        pool = WorkerPool(2)
+        killed = []
+
+        def kill_one_worker(result):
+            if not killed:
+                killed.append(sorted(pool._executor._processes)[0])
+                os.kill(killed[0], signal.SIGKILL)
+
+        requests = [RunRequest("n-body", params={"n": 12 + i}) for i in range(16)]
+        try:
+            results = Engine(
+                EngineConfig(jobs=2, retries=1), pool=pool, progress=kill_one_worker
+            ).run(requests)
+            generation = pool.generation
+        finally:
+            pool.shutdown()
+        assert killed
+        assert len(results) == 16
+        assert [r.status for r in results] == ["ok"] * 16
+        assert generation >= 2
 
 
 class TestRunSuiteWrapper:

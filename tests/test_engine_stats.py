@@ -20,7 +20,7 @@ from repro.engine import (
     plan_suite,
     stats_from_records,
 )
-from repro.engine.executor import ENV_INJECT_FAIL
+from repro.engine.pool import ENV_INJECT_FAIL
 from repro.engine.stats import (
     CHECK_METRICS,
     STATS_SCHEMA_VERSION,

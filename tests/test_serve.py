@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.engine.jobs import RunRequest, execute_request
+from repro.engine.lifecycle import Finish, Lifecycle, Restart
 from repro.engine.pool import _pool_supported
 from repro.metrics.serialize import canonical_report_json, report_to_dict
 from repro.obs.stream import read_stream, validate_stream
@@ -353,46 +354,101 @@ class TestAdmissionControl:
 
 
 class TestTimeoutRecovery:
+    def test_queued_sibling_survives_pool_restart(self):
+        """A sibling queued behind a worker that times out must still
+        complete: its timeout clock only starts once it reaches the
+        pool, and a sibling in flight when the stuck worker forces a
+        restart is requeued at the same attempt, not failed.  Driven
+        on the server's lifecycle settings with synthetic times."""
+        # one worker: the sibling waits in the queue behind the stuck job
+        lifecycle = Lifecycle(1, timeout=4.0)
+        lifecycle.add("slow", 0.0)
+        lifecycle.add("sibling", 0.0)
+        (slow,) = lifecycle.dispatch(0.0)
+        assert lifecycle.dispatch(3.9) == []
+        actions = lifecycle.expire(4.0, cancel=lambda trip: False)
+        (timed_out,) = [a for a in actions if isinstance(a, Finish)]
+        assert timed_out.key == "slow" and timed_out.status == "timeout"
+        assert "timed out" in timed_out.error
+        assert any(isinstance(a, Restart) for a in actions)
+        (sibling,) = lifecycle.dispatch(4.0)
+        assert sibling.members == [("sibling", 1)]
+        assert sibling.deadline == 8.0  # its own clock, from handoff
+        assert lifecycle.finished(sibling, "sibling", 4.1).status == "ok"
+        assert lifecycle.unfinished == 0  # both done: no admission leak
+
+        # two workers: the sibling is in flight on the abandoned pool
+        lifecycle = Lifecycle(2, timeout=4.0)
+        lifecycle.add("slow", 0.0)
+        lifecycle.add("sibling", 3.0)
+        (slow,) = lifecycle.dispatch(0.0)
+        (sibling,) = lifecycle.dispatch(3.0)
+        actions = lifecycle.expire(4.0, cancel=lambda trip: False)
+        (restart,) = [a for a in actions if isinstance(a, Restart)]
+        assert restart.abandoned == [sibling]
+        (again,) = lifecycle.dispatch(4.0)
+        assert again.members == [("sibling", 1)]
+        finish = lifecycle.finished(again, "sibling", 4.1)
+        assert (finish.status, finish.attempts) == ("ok", 1)
+
     @pytest.mark.skipif(
         not _pool_supported(), reason="process pool unavailable"
     )
-    def test_queued_sibling_survives_pool_restart(self, monkeypatch):
-        """A sibling queued behind a worker that times out must still
-        complete: its timeout clock only starts once it reaches the
-        pool (slot wait is untimed), and if the restart cancels its
-        submission it is resubmitted instead of the CancelledError
-        killing the task — which left the job "running" forever and
-        leaked admission slots."""
+    def test_stuck_worker_times_out_and_pool_restarts(self, monkeypatch):
+        """Real-process smoke test of the server's timeout path: the
+        stuck job times out, the pool restarts, and the job queued
+        behind it completes on fresh workers."""
         from repro.engine.pool import ENV_INJECT_SLEEP
 
-        monkeypatch.setenv(ENV_INJECT_SLEEP, "fft:10")
-        config = ServeConfig(port=0, workers=1, timeout=4.0)
+        monkeypatch.setenv(ENV_INJECT_SLEEP, "fft:3")
+        config = ServeConfig(port=0, workers=1, timeout=0.5, warmup=False)
         with ServerThread(config) as (host, port):
             client = ServeClient(host, port)
             slow = client.submit(
                 {"benchmark": "fft", "params": {"n": 64}}, wait=False
             )
-            # queued behind the stuck worker; its pool future is
-            # cancelled when fft's timeout abandons the executor
             sibling = client.submit({"benchmark": "lu", "params": {"n": 16}})
             assert sibling["job"]["status"] == "ok"
-            assert sibling["report"]["flop_count"] > 0
+            assert sibling["job"]["attempts"] == 1
             timed_out = client.result(
                 slow["job"]["request_hash"], wait=True, timeout=30
             )
             assert timed_out["job"]["status"] == "timeout"
-            assert "timed out" in timed_out["job"]["error"]
-            # both jobs finished: no admission slot leaked
+            assert "timed out after 0.5s" in timed_out["job"]["error"]
             assert client.stats()["active"] == 0
+            assert client.health()["pool_generation"] == 2
+
+    @pytest.mark.skipif(
+        not _pool_supported(), reason="process pool unavailable"
+    )
+    def test_killed_worker_restarts_pool(self):
+        """A worker killed between two submissions breaks the executor;
+        it refuses the next submission, the pool restarts, and the job
+        runs at the same attempt on fresh workers."""
+        import os
+        import signal
+        import time
+
+        thread = ServerThread(ServeConfig(port=0, workers=2, retries=1, timeout=120))
+        with thread as (host, port):
+            client = ServeClient(host, port)
+            assert client.submit(small_request(0))["job"]["status"] == "ok"
+            executor = thread.app.pool._executor
+            os.kill(sorted(executor._processes)[0], signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while not executor._broken and time.monotonic() < deadline:
+                time.sleep(0.01)
+            payload = client.submit(small_request(1))
+            assert payload["job"]["status"] == "ok"
+            assert payload["job"]["attempts"] == 1  # the refusal cost none
+            assert client.health()["pool_generation"] == 2
 
     def test_execute_resubmits_cancelled_pool_future(self):
-        """Unit cut of the restart race: a pool restart cancels a
-        still-queued submission (CancelledError, a BaseException);
-        _execute must resubmit at the same attempt number and finish
-        the job instead of dying with the future unresolved."""
+        """A pool restart cancels a still-queued submission
+        (CancelledError, a BaseException): the scheduler must resubmit
+        it at the same attempt number and finish the job instead of
+        leaving it unresolved."""
         import asyncio
-
-        from repro.serve.server import ServeApp
 
         calls = []
 
@@ -415,32 +471,16 @@ class TestTimeoutRecovery:
             def shutdown(self, wait=False):
                 pass
 
-        async def main():
-            app = ServeApp(ServeConfig(workers=1, warmup=False))
-            app._loop = asyncio.get_running_loop()
-            app._shutdown = asyncio.Event()
-            app.pool = FlakyPool()
-            request = RunRequest(benchmark="fft", params={"n": 64})
-            job_future = app._loop.create_future()
-            from repro.serve.state import Job
-
-            job = Job(
-                request=request,
-                request_hash=request.content_hash(),
-                future=job_future,
-            )
-            app.jobs[job.request_hash] = job
-            app._active_count += 1
-            await asyncio.wait_for(app._execute(job), 10)
-            return app, job
-
-        app, job = asyncio.run(main())
-        assert job.status == "ok"
-        assert job.attempts == 1  # the cancelled try did not count
-        assert job.report_record == {"flop_count": 1}
-        assert job.future.done()
+        thread = ServerThread(ServeConfig(port=0, workers=1, warmup=False))
+        thread.app.pool = FlakyPool()
+        with thread as (host, port):
+            client = ServeClient(host, port)
+            payload = client.submit({"benchmark": "fft", "params": {"n": 64}})
+            assert payload["job"]["status"] == "ok"
+            assert payload["job"]["attempts"] == 1  # the cancelled try did not count
+            assert payload["report"] == {"flop_count": 1}
+            assert client.stats()["active"] == 0
         assert calls == [1, 1]
-        assert app._active() == 0
 
 
 class TestDiskCacheFallback:

@@ -215,6 +215,53 @@ def _append_worker(root: str, writer: int, count: int) -> None:
         store.append(record(run_id, benchmark="fft", index=i))
 
 
+class TestTornTail:
+    """A writer killed mid-append leaves a line with no newline; readers
+    skip it and the next append cuts it, so the file stays readable."""
+
+    @staticmethod
+    def _tear(path, rec) -> None:
+        line = json.dumps(rec, sort_keys=True)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line[: len(line) // 2])
+
+    @pytest.mark.parametrize("flavor", ["flat", "sharded"])
+    def test_torn_tail_is_skipped_then_cut(self, tmp_path, flavor):
+        run_id = new_run_id()
+        first, second = record(run_id, index=0), record(run_id, index=0)
+        if flavor == "flat":
+            store = RunStore(tmp_path / "runs.jsonl")
+            path = store.path
+        else:
+            store = ShardedRunStore(tmp_path / "runs")
+            path = store.shard_path(first["request_hash"][:DEFAULT_SHARD_WIDTH])
+        store.append(first)
+        self._tear(path, second)
+        assert store.records() == [first]
+        store.append(second)
+        assert store.records() == [first, second]
+        assert path.read_text().endswith("\n")
+        if flavor == "sharded":
+            hashed = store.records_for_hash(first["request_hash"])
+            assert hashed == [first, second]
+
+    def test_torn_first_line_is_cut_whole(self, tmp_path):
+        store = RunStore(tmp_path / "runs.jsonl")
+        rec = record(new_run_id())
+        self._tear(store.path, rec)
+        assert store.records() == []
+        store.append(rec)
+        assert store.records() == [rec]
+
+    def test_corrupt_terminated_line_still_raises(self, tmp_path):
+        store = RunStore(tmp_path / "runs.jsonl")
+        store.append(record(new_run_id()))
+        with open(store.path, "a", encoding="utf-8") as fh:
+            fh.write("{not json}\n")
+        with pytest.raises(json.JSONDecodeError):
+            store.records()
+
+
 class TestConcurrentWriters:
     def test_multiprocess_appends_never_tear_lines(self, tmp_path):
         """4 writer processes x 20 appends into one store: every line
