@@ -37,12 +37,7 @@ import threading
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
-from repro.engine.store import StoreReader, cut_torn_tail, read_records, write_json_atomic
-
-try:  # POSIX inter-process file locking; absent on some platforms
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX
-    fcntl = None
+from repro.engine.store import StoreReader, append_lines, read_records, write_json_atomic
 
 #: Sharded-store layout version (the marker file's ``schema``).
 SHARD_SCHEMA_VERSION = 1
@@ -160,16 +155,7 @@ class ShardedRunStore(StoreReader):
         for key, lines in sorted(by_shard.items()):
             path = self.shard_path(key)
             with self._shard_mutex(key):
-                with path.open("a+b") as fh:
-                    if fcntl is not None:
-                        fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
-                    try:
-                        cut_torn_tail(fh)
-                        fh.write("".join(lines).encode("utf-8"))
-                        fh.flush()
-                    finally:
-                        if fcntl is not None:
-                            fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+                append_lines(path, "".join(lines))
 
     # -- reading --------------------------------------------------------
     def records(self) -> List[Dict]:

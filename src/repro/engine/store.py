@@ -19,6 +19,11 @@ import time
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
+try:  # POSIX inter-process file locking; absent on some platforms
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX
+    fcntl = None
+
 #: Store record schema version, bumped on incompatible changes.
 SCHEMA_VERSION = 1
 
@@ -59,14 +64,29 @@ def read_records(path: Path) -> List[Dict]:
     return [json.loads(line) for line in lines[:-1] if line.strip()]
 
 
-def cut_torn_tail(fh) -> None:
-    """Truncate an unterminated last line back to the last newline.
+def append_lines(path: Path, text: str) -> None:
+    """Append whole JSONL lines to ``path`` under an exclusive ``flock``.
 
-    ``fh`` is a store file opened ``"a+b"``, held under the writer's
-    lock.  A writer killed mid-append leaves such a fragment; appending
-    after it would glue the next record onto it and leave that line
+    The lines land in one write while the lock is held, so lines from
+    concurrent writers never interleave.  Before writing, a torn tail —
+    a last line without its newline, left by a writer killed
+    mid-append — is cut back to the last newline; appending after it
+    would glue the new record onto the fragment and leave that line
     unreadable for good.
     """
+    with path.open("a+b") as fh:
+        if fcntl is not None:
+            fcntl.flock(fh.fileno(), fcntl.LOCK_EX)
+        try:
+            _cut_torn_tail(fh)
+            fh.write(text.encode("utf-8"))
+            fh.flush()
+        finally:
+            if fcntl is not None:
+                fcntl.flock(fh.fileno(), fcntl.LOCK_UN)
+
+
+def _cut_torn_tail(fh) -> None:
     size = fh.seek(0, os.SEEK_END)
     if size == 0:
         return
@@ -234,9 +254,7 @@ class RunStore(StoreReader):
         if not text:
             return
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a+b") as fh:
-            cut_torn_tail(fh)
-            fh.write(text.encode("utf-8"))
+        append_lines(self.path, text)
 
     # -- reading --------------------------------------------------------
     def records(self) -> List[Dict]:
