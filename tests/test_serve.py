@@ -278,6 +278,18 @@ class TestAdmissionControl:
                 client.submit(SMALL, wait=False, busy_retries=2)
             assert client.stats()["counters"]["rejected_queue"] == 3
 
+    def test_new_job_refused_once_shutdown_began(self):
+        """A job admitted after shutdown began could never run: 503."""
+        thread = ServerThread(ServeConfig(port=0, workers=1, warmup=False))
+        with thread as (host, port):
+            app, began = thread.app, threading.Event()
+            app._loop.call_soon_threadsafe(lambda: (app._shutdown.set(), began.set()))
+            assert began.wait(timeout=10)
+            with pytest.raises(ServeError) as err:
+                ServeClient(host, port).submit(SMALL)
+            assert err.value.status == 503
+            assert app._active() == 0
+
     def test_bucket_eviction_bounds_memory(self):
         """The unbounded-growth fix: a long-lived bucket table must
         shed buckets once they are idle long enough to be full again —
