@@ -60,6 +60,7 @@ AMBIGUOUS_METHODS = {
     "upper", "read", "write", "close", "flush", "seek", "tell",
     "open", "send", "put", "get_nowait", "put_nowait", "result",
     "set", "wait", "acquire", "release", "submit", "cancel", "done",
+    "cancelled", "exception",
     "run", "start", "stop", "shutdown", "next", "reset",
     # numpy ndarray vocabulary: ``x.sum()`` on a plain array must not
     # resolve to a same-named DistArray intrinsic (a wild edge here

@@ -12,10 +12,10 @@ Subcommands
 ``suite``
     Run every benchmark with small default sizes and print a summary
     table.  Engine options (``--jobs``, ``--cache-dir``, ``--store``,
-    ``--timeout``, ``--retries``, ``--trace``, ``--stream``) run the
-    suite through the parallel, cached, fault-tolerant execution
-    engine; ``--stream PATH`` follows the run live as JSONL events
-    with per-job span summaries (see ``docs/OBSERVABILITY.md``).
+    ``--timeout``, ``--retries``, ``--stream``) run the suite through
+    the parallel, cached, fault-tolerant execution engine;
+    ``--stream PATH`` follows the run live as JSONL run events with
+    per-job span summaries (see ``docs/OBSERVABILITY.md``).
 ``profile NAME``
     Run one benchmark with a span collector attached and print a
     profile: top regions by simulated busy time and per-pattern
@@ -139,7 +139,6 @@ def _engine_config(args):
         cache_prune=getattr(args, "cache_prune", False),
         cache_max_bytes=getattr(args, "cache_max_bytes", None),
         store=args.store,
-        trace=args.trace,
         stream=getattr(args, "stream", None),
     )
 
@@ -499,14 +498,6 @@ def _cmd_engine_check(args) -> int:
     from repro.engine import compare_benchmarks, open_store
     from repro.engine.stats import load_baseline_file
 
-    if args.baseline is None and args.slo is None:
-        raise SystemExit("engine check: need --baseline and/or --slo")
-    slo_ok = True
-    if args.slo:
-        slo_ok = _check_slo(args.slo, args.scrape)
-    if args.baseline is None:
-        return 0 if slo_ok else 1
-
     store = open_store(args.store)
     try:
         stats = _load_run_stats(store, args.run)
@@ -520,40 +511,7 @@ def _cmd_engine_check(args) -> int:
         stats.benchmarks, baseline, args.tolerance, strict=args.strict
     )
     print(report.table())
-    return 0 if (report.ok and slo_ok) else 1
-
-
-def _check_slo(spec_path: str, scrape_path: Optional[str]) -> bool:
-    """Evaluate an SLO spec against a saved exposition scrape."""
-    from repro.obs.expo import ExpositionError, parse_exposition
-    from repro.obs.slo import SLOSpecError, evaluate_slos, load_slo_spec
-
-    if not scrape_path:
-        raise SystemExit(
-            "engine check --slo needs --scrape FILE "
-            "(a saved /metrics exposition, e.g. from `repro telemetry "
-            "--out`)"
-        )
-    try:
-        spec = load_slo_spec(spec_path)
-    except OSError as exc:
-        raise SystemExit(f"cannot read SLO spec {spec_path}: {exc}") from None
-    except SLOSpecError as exc:
-        raise SystemExit(f"bad SLO spec {spec_path}: {exc}") from None
-    try:
-        with open(scrape_path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SystemExit(f"cannot read scrape {scrape_path}: {exc}") from None
-    try:
-        families = parse_exposition(text)
-    except ExpositionError as exc:
-        raise SystemExit(
-            f"scrape {scrape_path} is not valid exposition: {exc}"
-        ) from None
-    report = evaluate_slos(spec, families)
-    print(report.table())
-    return report.ok
+    return 0 if report.ok else 1
 
 
 def _load_campaign_spec(path):
@@ -1132,32 +1090,35 @@ def _cmd_watch(args) -> int:
             if args.json:
                 print(json_module.dumps(event, sort_keys=True), flush=True)
                 continue
-            kind = event.get("kind")
-            if kind == "run_started":
-                print(
-                    f"[{event.get('seq')}] server up: run {event.get('run_id')} "
-                    f"({event.get('workers')} workers)",
-                    flush=True,
-                )
-            elif kind == "job_finished":
-                print(
-                    f"[{event.get('seq')}] {event.get('benchmark')}: "
-                    f"{event.get('status')} "
-                    f"(attempts={event.get('attempts')}, "
-                    f"wall={event.get('wall_time_s', 0.0):.3f}s)",
-                    flush=True,
-                )
-            else:
-                print(
-                    f"[{event.get('seq')}] server done: "
-                    f"run {event.get('run_id')}",
-                    flush=True,
-                )
+            print(f"[{event.get('seq')}] {_describe_event(event)}", flush=True)
     except ServeError as exc:
         raise SystemExit(f"watch failed ({exc.status}): {exc}") from None
     except KeyboardInterrupt:
         pass
     return 0
+
+
+def _describe_event(event) -> str:
+    """One human-readable line for a run event of any kind."""
+    get = event.get
+    kind = get("kind")
+    if kind == "run_started":
+        return f"server up: run {get('run_id')} ({get('workers')} workers)"
+    if kind == "job_started":
+        return f"{get('benchmark')}: started (attempt={get('attempt')})"
+    if kind == "job_retried":
+        return (
+            f"{get('benchmark')}: attempt {get('attempt')} {get('status')}, "
+            f"retrying: {get('error')}"
+        )
+    if kind == "job_finished":
+        return (
+            f"{get('benchmark')}: {get('status')} "
+            f"(attempts={get('attempts')}, wall={get('wall_time_s', 0.0):.3f}s)"
+        )
+    if kind == "run_finished":
+        return f"server done: run {get('run_id')}"
+    return f"{kind} event"
 
 
 def _cmd_telemetry(args) -> int:
@@ -1227,21 +1188,6 @@ def _cmd_telemetry(args) -> int:
                         print(f"  {key}  count=0")
                 else:
                     print(f"  {key}  {series['value']:g}")
-    if args.slo:
-        from repro.obs.slo import SLOSpecError, evaluate_slos, load_slo_spec
-
-        try:
-            spec = load_slo_spec(args.slo)
-        except OSError as exc:
-            raise SystemExit(
-                f"cannot read SLO spec {args.slo}: {exc}"
-            ) from None
-        except SLOSpecError as exc:
-            raise SystemExit(f"bad SLO spec {args.slo}: {exc}") from None
-        report = evaluate_slos(spec, families)
-        print()
-        print(report.table())
-        return 0 if report.ok else 1
     return 0
 
 
@@ -1292,13 +1238,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="retries per failed job before recording it (default: 0)",
         )
         p.add_argument(
-            "--trace", metavar="PATH",
-            help="write structured engine events to this JSONL trace",
-        )
-        p.add_argument(
             "--stream", metavar="PATH",
-            help="append live JSONL run events (with per-job span "
-            "summaries) to this file as jobs finish",
+            help="append the run's JSONL events (job starts, retries and "
+            "finishes, with per-job span summaries) to this file live",
         )
         p.add_argument(
             "--cache-prune", action="store_true",
@@ -1598,20 +1540,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run reference: id prefix, 'latest' (default) or @N",
     )
     p_check.add_argument(
-        "--baseline", metavar="RUN|FILE",
+        "--baseline", metavar="RUN|FILE", required=True,
         help="baseline: a run reference in the store, or a JSON file "
-        "with a 'benchmarks' map (e.g. `engine stats --json` output); "
-        "optional when --slo is given",
-    )
-    p_check.add_argument(
-        "--slo", metavar="FILE",
-        help="also evaluate this SLO spec (JSON) against a saved "
-        "/metrics scrape; failing objectives fail the check",
-    )
-    p_check.add_argument(
-        "--scrape", metavar="FILE",
-        help="Prometheus text exposition the --slo objectives read "
-        "(e.g. saved via `repro telemetry --out`)",
+        "with a 'benchmarks' map (e.g. `engine stats --json` output)",
     )
     p_check.add_argument(
         "--tolerance", type=float, default=5.0, metavar="PCT",
@@ -1838,7 +1769,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_telemetry = sub.add_parser(
         "telemetry",
         help="scrape and summarize a /metrics exposition (live server "
-        "or saved file), optionally gating SLOs",
+        "or saved file)",
     )
     p_telemetry.add_argument(
         "--file", metavar="PATH",
@@ -1846,17 +1777,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_telemetry.add_argument(
         "--out", metavar="PATH",
-        help="also save the raw scrape here (feed to `engine check "
-        "--slo --scrape`)",
+        help="also save the raw scrape here (re-read with --file)",
     )
     p_telemetry.add_argument(
         "--json", action="store_true",
         help="emit the parsed families as JSON instead of a summary",
-    )
-    p_telemetry.add_argument(
-        "--slo", metavar="FILE",
-        help="evaluate this SLO spec against the scrape; exits "
-        "non-zero when an objective fails",
     )
     _add_client_args(p_telemetry)
     p_telemetry.set_defaults(fn=_cmd_telemetry)

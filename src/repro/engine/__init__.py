@@ -14,8 +14,6 @@ consumer (CLI, tables, benchmark harness, sweeps):
   (code fingerprint, request hash);
 * :mod:`repro.engine.store` — append-only JSONL run store of every
   result, with run grouping and diffing;
-* :mod:`repro.engine.trace` — structured engine events (JSONL trace
-  and progress callbacks);
 * :mod:`repro.engine.plan` — grid/sweep expansion into deduplicated
   request lists, and stored-run replay;
 * :mod:`repro.engine.stats` — per-run scheduler statistics
@@ -64,13 +62,11 @@ from repro.engine.store import (
     open_store,
     write_json_atomic,
 )
-from repro.engine.trace import EngineEvent, Tracer, read_trace
 
 __all__ = [
     "CheckReport",
     "Engine",
     "EngineConfig",
-    "EngineEvent",
     "InjectedFailure",
     "JobStats",
     "ResultCache",
@@ -80,7 +76,6 @@ __all__ = [
     "RunStore",
     "ShardedRunStore",
     "StoreReader",
-    "Tracer",
     "WorkerPool",
     "code_fingerprint",
     "compare_benchmarks",
@@ -92,7 +87,6 @@ __all__ = [
     "new_run_id",
     "open_store",
     "plan_suite",
-    "read_trace",
     "write_json_atomic",
     "requests_from_run",
     "StatsAccumulator",

@@ -16,9 +16,11 @@ into :class:`RunResult` s through four layers:
   here are its drivers and keep only the I/O;
 * **persistence** — every result (including cache hits) appends to the
   run store *as its job finishes*, so a killed run keeps the history of
-  every completed job; every lifecycle step emits a trace event; and a
-  :class:`~repro.engine.stats.RunStats` summary is serialized next to
-  the store and exposed as ``engine.last_run_stats``.
+  every completed job; every lifecycle transition is emitted once as a
+  run event (:mod:`repro.obs.stream`), which also feeds the job
+  metrics; and a :class:`~repro.engine.stats.RunStats` summary is
+  serialized next to the store and exposed as
+  ``engine.last_run_stats``.
 
 Determinism: the simulation itself is deterministic, and both execution
 paths serialize reports with the same
@@ -45,10 +47,10 @@ from repro.engine.jobs import RunRequest, execute_request
 from repro.engine.lifecycle import Finish, Lifecycle, Restart, Submission
 from repro.engine.pool import WorkerPool, _apply_test_hooks, _pool_supported, returned
 from repro.engine.store import make_record, new_run_id, open_store
-from repro.engine.trace import Tracer
 from repro.metrics.report import PerfReport
 from repro.metrics.serialize import report_from_dict, report_to_dict
 from repro.obs import telemetry
+from repro.obs.stream import EventFanout, EventStream
 
 #: Final job statuses.
 STATUSES = ("ok", "failed", "timeout", "cached")
@@ -67,27 +69,11 @@ def _metrics() -> Dict:
     if _METRICS is None:
         registry = telemetry.get_registry()
         _METRICS = {
-            "jobs": registry.counter(
-                "repro_engine_jobs_total",
-                "Engine jobs finished, by final status.",
-                ["status"],
-            ),
-            "dispatch": registry.histogram(
-                "repro_engine_dispatch_latency_seconds",
-                "Queue wait (wall minus compute) per executed job, seconds.",
-            ),
+            "job": telemetry.JobMetrics(registry, "repro_engine"),
             "batch": registry.histogram(
                 "repro_engine_batch_members",
                 "Members per worker dispatch (1 = solo submission).",
                 buckets=telemetry.SIZE_BUCKETS,
-            ),
-            "retries": registry.counter(
-                "repro_engine_retries_total",
-                "Job attempts re-dispatched after a failure or timeout.",
-            ),
-            "timeouts": registry.counter(
-                "repro_engine_timeouts_total",
-                "Job attempts abandoned at the per-attempt deadline.",
             ),
             "restarts": registry.counter(
                 "repro_engine_pool_restarts_total",
@@ -154,13 +140,12 @@ class EngineConfig:
     #: budget before running; implies pruning stale buckets
     cache_max_bytes: Optional[int] = None
     store: Optional[Union[str, Path]] = None
-    trace: Optional[Union[str, Path]] = None
     #: serial in-process mode only: let job exceptions propagate to the
     #: caller instead of recording a ``failed`` result (the historical
     #: ``run_suite`` contract).
     raise_on_error: bool = False
     run_id: Optional[str] = None
-    #: JSONL live event stream path (repro suite --stream); implies
+    #: JSONL run-event stream path (repro suite --stream); implies
     #: span collection
     stream: Optional[Union[str, Path]] = None
     #: collect per-job span summaries (repro.obs) into the stats sidecar
@@ -189,12 +174,10 @@ class Engine:
         self,
         config: Optional[EngineConfig] = None,
         *,
-        tracer: Optional[Tracer] = None,
         progress: Optional[Callable[[RunResult], None]] = None,
         pool: Optional[WorkerPool] = None,
     ) -> None:
         self.config = config or EngineConfig()
-        self.tracer = tracer or Tracer(self.config.trace)
         self.progress = progress
         #: a resident :class:`WorkerPool` shared across invocations;
         #: when given, the engine submits to it and never shuts it down
@@ -203,7 +186,8 @@ class Engine:
         self.last_run_stats = None
         self._store = None
         self._run_id: Optional[str] = None
-        self._stream = None
+        #: the current run's events (a file sink with ``config.stream``)
+        self._events: Optional[EventFanout] = None
         #: the current run's requests, results and cache
         self._requests, self._results, self._cache = (), [], None
         #: extra phase counters filled in by the pool path (batching)
@@ -235,10 +219,9 @@ class Engine:
         self._store = store
         self._run_id = run_id
         self._requests, self._results, self._cache = requests, results, cache
+        self._events = EventFanout()
         if config.stream is not None:
-            from repro.obs.stream import EventStream
-
-            self._stream = EventStream(config.stream)
+            self._events.attach(EventStream(config.stream))
         started = time.perf_counter()
 
         try:
@@ -247,22 +230,11 @@ class Engine:
                 config.cache_prune or config.cache_max_bytes is not None
             ):
                 pruned = cache.prune(max_bytes=config.cache_max_bytes)
-                if telemetry.enabled():
-                    _metrics()["evicted_files"].inc(cache.last_prune["files"])
-                    _metrics()["evicted_bytes"].inc(cache.last_prune["bytes"])
-            self.tracer.emit(
-                "run_started", detail=run_id, jobs=config.jobs, n=len(requests)
-            )
-            if self._stream is not None:
-                self._stream.emit(
-                    "run_started",
-                    run_id=run_id,
-                    workers=config.jobs,
-                    n_jobs=len(requests),
-                )
+                _metrics()["evicted_files"].inc(cache.last_prune["files"])
+                _metrics()["evicted_bytes"].inc(cache.last_prune["bytes"])
+            self._emit("run_started", workers=config.jobs, n_jobs=len(requests))
             pending: List[int] = []
             for index, request in enumerate(requests):
-                self.tracer.emit("job_submitted", request)
                 hit = cache.get(request) if cache is not None else None
                 if hit is not None and hit.get("report") is not None:
                     result = RunResult(
@@ -275,12 +247,11 @@ class Engine:
                         index=index,
                     )
                     results[index] = result
-                    self.tracer.emit("job_cached", request)
                     self._finish(request, result)
                 else:
                     pending.append(index)
             lookup_done = time.perf_counter()
-            if cache is not None and telemetry.enabled():
+            if cache is not None:
                 hits = len(requests) - len(pending)
                 if hits:
                     _metrics()["cache"].labels(result="hit").inc(hits)
@@ -319,68 +290,54 @@ class Engine:
             self.last_run_stats = stats
             if store is not None:
                 store.write_stats(run_id, stats.to_dict())
-            self.tracer.emit(
-                "run_summary",
-                detail=run_id,
+            counts = {s: 0 for s in STATUSES}
+            for result in final:
+                counts[result.status] += 1
+            self._emit(
+                "run_finished",
                 duration_s=stats.duration_s,
                 throughput_jobs_per_s=stats.throughput_jobs_per_s,
                 cache_hit_rate=stats.cache_hit_rate,
                 worker_utilization=stats.worker_utilization,
                 retries=stats.retries,
                 timeouts=stats.timeouts,
+                **counts,
             )
-            counts = {s: 0 for s in STATUSES}
-            for result in final:
-                counts[result.status] += 1
-            self.tracer.emit("run_finished", detail=run_id, **counts)
-            if self._stream is not None:
-                self._stream.emit(
-                    "run_finished",
-                    run_id=run_id,
-                    duration_s=stats.duration_s,
-                    **counts,
-                )
             return final
         finally:
-            if self._stream is not None:
-                self._stream.close()
-                self._stream = None
+            self._events.close()
+            self._events = None
             self._store = None
             self._run_id = None
             self._requests, self._results, self._cache = (), [], None
 
     # -- shared helpers -------------------------------------------------
+    def _emit(self, kind: str, request: Optional[RunRequest] = None, **fields) -> None:
+        """Emit one run event and fold it into the job metrics."""
+        if request is not None:
+            fields["benchmark"] = request.benchmark
+            fields["request_hash"] = request.content_hash()
+        _metrics()["job"].fold(self._events.emit(kind, run_id=self._run_id, **fields))
+
     def _finish(self, request: RunRequest, result: RunResult) -> None:
-        """Record one finished job: trace, durable store, progress.
+        """Record one finished job: event, durable store, progress.
 
         The store append happens here — as each job finishes, not after
         the whole run — so a killed run keeps the history of every job
         that completed before the kill (the store's append-only
         durability contract).
         """
-        if telemetry.enabled():
-            _metrics()["jobs"].labels(status=result.status).inc()
-            if result.status != "cached":
-                _metrics()["dispatch"].observe(result.queue_wait_s)
-        self.tracer.emit(
+        self._emit(
             "job_finished",
             request,
             status=result.status,
-            attempt=result.attempts,
-            detail=result.error,
+            attempts=result.attempts,
+            wall_time_s=result.wall_time_s,
+            queue_wait_s=result.queue_wait_s,
+            compute_time_s=result.compute_time_s,
+            error=result.error,
+            spans=result.spans,
         )
-        if self._stream is not None:
-            self._stream.emit(
-                "job_finished",
-                run_id=self._run_id,
-                benchmark=request.benchmark,
-                request_hash=request.content_hash(),
-                status=result.status,
-                attempts=result.attempts,
-                wall_time_s=result.wall_time_s,
-                error=result.error,
-                spans=result.spans,
-            )
         if self._store is not None:
             self._store.append(make_record(self._run_id, result))
         if self.progress is not None:
@@ -410,24 +367,21 @@ class Engine:
         self._finish(request, result)
 
     def _apply(self, actions, pool: Optional[WorkerPool] = None) -> None:
-        """Carry out the lifecycle's actions: results, traces, restarts."""
+        """Carry out the lifecycle's actions: results, retries, restarts."""
         for action in actions:
             if isinstance(action, Restart):
                 pool.restart()
-                if telemetry.enabled():
-                    _metrics()["restarts"].inc()
-                continue
-            if action.status == "timeout" and telemetry.enabled():
-                _metrics()["timeouts"].inc()
-            if isinstance(action, Finish):
+                _metrics()["restarts"].inc()
+            elif isinstance(action, Finish):
                 self._complete(action)
-                continue
-            request = self._requests[action.key]
-            self.tracer.emit(
-                "job_retried", request, attempt=action.attempt, detail=action.error
-            )
-            if telemetry.enabled():
-                _metrics()["retries"].inc()
+            else:
+                self._emit(
+                    "job_retried",
+                    self._requests[action.key],
+                    attempt=action.attempt,
+                    status=action.status,
+                    error=action.error,
+                )
 
     # -- serial path ----------------------------------------------------
     def _run_serial(
@@ -461,7 +415,7 @@ class Engine:
             (sub,) = trips
             ((index, attempt),) = sub.members
             request = self._requests[index]
-            self.tracer.emit("job_started", request, attempt=attempt)
+            self._emit("job_started", request, attempt=attempt, batch=1)
             try:
                 _apply_test_hooks(request.benchmark, attempt)
                 session = (session_factory or request.build_session)()
@@ -537,16 +491,14 @@ class Engine:
     def _submit(self, pool: WorkerPool, sub: Submission) -> None:
         """Hand one trip to the pool; ``sub.handle`` is its future."""
         requests, spans = self._requests, self.config.collect_spans
-        extra = {"batched": True} if sub.batched else {}
+        batch = len(sub.members)
         for index, attempt in sub.members:
-            self.tracer.emit("job_started", requests[index], attempt=attempt, **extra)
-        if telemetry.enabled():
-            _metrics()["batch"].observe(len(sub.members))
+            self._emit("job_started", requests[index], attempt=attempt, batch=batch)
+        _metrics()["batch"].observe(batch)
         if not sub.batched:
             ((index, attempt),) = sub.members
             sub.handle = pool.submit(requests[index], attempt=attempt, spans=spans)
             return
-        self.tracer.emit("batch_submitted", n=len(sub.members))
         items = [(requests[index], attempt) for index, attempt in sub.members]
         sub.handle = pool.submit_batch(items, spans=spans)
         self._pool_phases["batches_submitted"] += 1

@@ -13,19 +13,18 @@ The observability spine of the reproduction (see docs/OBSERVABILITY.md):
   (Perfetto-loadable), from live collectors or stored reports;
 * :mod:`repro.obs.profile` — text profile reports and folded-stack
   flamegraphs;
-* :mod:`repro.obs.stream` — JSONL live event stream for engine runs;
+* :mod:`repro.obs.stream` — the run-event log of engine and server
+  runs (one JSONL schema, live fan-out to subscribers);
 * :mod:`repro.obs.telemetry` — wall-clock metrics registry (counters,
   gauges, histograms) for the host runtime around the simulation, with
   :mod:`repro.obs.expo` (Prometheus text exposition: renderer + strict
-  parser), :mod:`repro.obs.slo` (declarative objectives evaluated from
-  a scrape) and :mod:`repro.obs.dash` (live terminal dashboard).  See
+  parser) and :mod:`repro.obs.dash` (live terminal dashboard).  See
   docs/TELEMETRY.md.
 
 Attaching a collector never changes any reported metric; with no
 collector attached, the hooks cost one ``is not None`` check.  The
 telemetry registry observes wall-clock behaviour only and is likewise
-benchmark-metrics-invisible: canonical report JSON is byte-identical
-with telemetry enabled or disabled.
+benchmark-metrics-invisible: the simulation never writes to it.
 """
 
 from repro.obs.chrome import (

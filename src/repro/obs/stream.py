@@ -1,29 +1,39 @@
-"""JSONL live event stream for suite/engine/server runs.
+"""The run-event log: one JSONL schema for engine and server runs.
 
-``repro suite --stream events.jsonl`` (or ``EngineConfig.stream``)
-makes the engine append one JSON object per line as the run progresses,
-flushed per event so a tail/follower sees jobs the moment they finish:
+``repro suite --stream events.jsonl`` (``EngineConfig.stream``) and
+``repro serve --stream`` append one JSON object per lifecycle
+transition, flushed per event so a tail/follower sees each job the
+moment it moves.  Every record carries ``kind``, ``seq`` (0-based and
+strictly increasing within one run), ``ts`` (wall-clock seconds) and
+``run_id``; :data:`EVENT_FIELDS` lists what each kind adds:
 
-* ``run_started``  — ``run_id``, number of jobs, worker count
-* ``job_finished`` — benchmark, status, attempts, wall seconds, the
-  request content hash, and (when span collection is on) the worker's
-  span summary (see :data:`repro.obs.spans.SPAN_SUMMARY_SCHEMA`)
-* ``run_finished`` — final status counts and duration
+* ``run_started``  — the worker count (``n_jobs`` for engine runs);
+* ``job_started``  — one attempt handed to a worker, with ``batch``,
+  the members of its trip (1: solo);
+* ``job_retried``  — an attempt ended ``failed`` or ``timeout`` and
+  the job will run again;
+* ``job_finished`` — the job's final status (``cached`` for a cache
+  hit), its attempts, wall, queue-wait and compute seconds, and (when
+  span collection is on) the worker's span summary (see
+  :data:`repro.obs.spans.SPAN_SUMMARY_SCHEMA`);
+* ``run_finished`` — one count per final status and the duration.
 
-Every line carries ``kind`` and a monotonically increasing ``seq``.
-The stream is observability output, not a store: replaying it does not
-reconstruct reports (the run store does that).
+The log is observability output, not a store: replaying it does not
+reconstruct reports (the run store does that).  The job-metric
+families of the telemetry registry are folded from it
+(:class:`repro.obs.telemetry.JobMetrics`).
 
 Two consumers beyond the file writer:
 
 * :func:`read_stream` / :func:`read_stream_partial` — read a stream
-  back, tolerating the truncated trailing line a live reader sees when
-  it races a writer mid-flush (the partial tail is reported, never
+  back (or any JSONL event file, such as an older engine trace),
+  tolerating the truncated trailing line a live reader sees when it
+  races a writer mid-flush (the partial tail is reported, never
   parsed as garbage);
 * :class:`EventFanout` — fan one live event stream out to N
-  subscribers (queues or callbacks) plus any number of file sinks; the
-  ``repro serve`` server uses it to feed every ``repro watch`` client
-  from a single emission point.
+  subscribers (queues or callbacks) plus any number of file sinks;
+  engine runs and the ``repro serve`` server emit through one, and the
+  server feeds every ``repro watch`` client from it.
 """
 
 from __future__ import annotations
@@ -31,12 +41,36 @@ from __future__ import annotations
 import json
 import queue
 import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, Iterator, List, Optional, Union
 
+#: Fields each event kind carries beyond ``kind``, ``seq``, ``ts`` and
+#: ``run_id``, in lifecycle order of the kinds.
+EVENT_FIELDS: Dict[str, tuple] = {
+    "run_started": ("workers",),
+    "job_started": ("benchmark", "request_hash", "attempt", "batch"),
+    "job_retried": ("benchmark", "request_hash", "attempt", "status", "error"),
+    "job_finished": (
+        "benchmark", "request_hash", "status", "attempts", "wall_time_s",
+        "queue_wait_s", "compute_time_s", "error", "spans",
+    ),
+    "run_finished": ("duration_s", "ok", "failed", "timeout", "cached"),
+}
+
 #: Event kinds a stream may carry, in lifecycle order.
-STREAM_EVENT_KINDS = ("run_started", "job_finished", "run_finished")
+STREAM_EVENT_KINDS = tuple(EVENT_FIELDS)
+
+
+def _record(kind: str, seq: int, fields: Dict) -> Dict:
+    """One event record, stamped with ``seq`` and the wall-clock ``ts``."""
+    if kind not in EVENT_FIELDS:
+        raise ValueError(
+            f"unknown stream event kind {kind!r}; "
+            f"expected one of {STREAM_EVENT_KINDS}"
+        )
+    return {"kind": kind, "seq": seq, "ts": time.time(), **fields}
 
 
 class EventStream:
@@ -54,15 +88,7 @@ class EventStream:
 
     def emit(self, kind: str, **fields) -> Dict:
         """Append one event line; returns the emitted record."""
-        if kind not in STREAM_EVENT_KINDS:
-            raise ValueError(
-                f"unknown stream event kind {kind!r}; "
-                f"expected one of {STREAM_EVENT_KINDS}"
-            )
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        record = {"kind": kind, "seq": self._seq, **fields}
+        record = _record(kind, self._seq, fields)
         self._seq += 1
         self.write(record)
         return record
@@ -159,20 +185,25 @@ def read_stream(path: Union[str, Path], *, strict: bool = False) -> list:
     return read.events
 
 
+#: Fields that must not be empty where they appear.
+_NON_EMPTY = frozenset(("run_id", "benchmark", "request_hash", "status"))
+
+
 def validate_stream(events: List[Dict]) -> List[str]:
     """Schema-check a list of stream events; a list of problems.
 
-    Checks the invariants every producer guarantees: known ``kind``,
-    integer ``seq`` strictly increasing, lifecycle fields per kind
-    (``run_id`` on run bracketing events; benchmark/status/request hash
-    on ``job_finished``).  An empty return means the stream validates.
+    Checks the invariants every producer guarantees: a known ``kind``,
+    an integer ``seq`` strictly increasing, ``ts`` and a non-empty
+    ``run_id`` on every record, and every field of
+    :data:`EVENT_FIELDS` for the kind, with non-empty job identities
+    and statuses.  An empty return means the stream validates.
     """
     problems: List[str] = []
     last_seq: Optional[int] = None
     for position, event in enumerate(events):
         where = f"event {position}"
         kind = event.get("kind")
-        if kind not in STREAM_EVENT_KINDS:
+        if kind not in EVENT_FIELDS:
             problems.append(f"{where}: unknown kind {kind!r}")
             continue
         seq = event.get("seq")
@@ -184,12 +215,15 @@ def validate_stream(events: List[Dict]) -> List[str]:
             )
         if isinstance(seq, int):
             last_seq = seq
-        if kind in ("run_started", "run_finished") and not event.get("run_id"):
-            problems.append(f"{where}: {kind} missing run_id")
-        if kind == "job_finished":
-            for key in ("benchmark", "status", "request_hash"):
-                if not event.get(key):
-                    problems.append(f"{where}: job_finished missing {key}")
+        for key in ("ts", "run_id") + EVENT_FIELDS[kind]:
+            if key not in event:
+                problems.append(f"{where}: {kind} missing {key}")
+            elif key in _NON_EMPTY and not event[key]:
+                problems.append(f"{where}: {kind} has an empty {key}")
+        if kind == "job_retried" and event.get("status", "failed") not in (
+            "failed", "timeout",
+        ):
+            problems.append(f"{where}: job_retried status {event['status']!r}")
     return problems
 
 
@@ -336,15 +370,10 @@ class EventFanout:
 
     def emit(self, kind: str, **fields) -> Dict:
         """Build one event and deliver it to every sink/subscriber."""
-        if kind not in STREAM_EVENT_KINDS:
-            raise ValueError(
-                f"unknown stream event kind {kind!r}; "
-                f"expected one of {STREAM_EVENT_KINDS}"
-            )
         with self._lock:
             if self._closed:
                 raise RuntimeError("event fan-out is closed")
-            record = {"kind": kind, "seq": self._seq, **fields}
+            record = _record(kind, self._seq, fields)
             self._seq += 1
             if kind == "run_started":
                 self._retained_start = record
@@ -380,6 +409,7 @@ class EventFanout:
 
 
 __all__ = [
+    "EVENT_FIELDS",
     "STREAM_EVENT_KINDS",
     "EventFanout",
     "EventStream",

@@ -15,18 +15,17 @@ runs in the process that owns the registry (the engine driver, the
 serve event loop); pool workers record nothing here.
 
 Invisibility contract: nothing here may touch simulated metrics.  The
-registry records wall-clock observations in its own structures only;
-``canonical_report_json`` stays byte-identical with telemetry enabled
-(pinned by ``tests/test_telemetry.py`` for all 32 benchmarks).
+registry records wall-clock observations in its own structures only,
+and the simulation never writes to it (``tests/test_telemetry.py``
+runs all 32 benchmarks against an unchanged registry).
 
-The ``REPRO_TELEMETRY=0`` environment kill switch (or
-:func:`set_enabled`) turns every instrumentation site into a cheap
-boolean check without touching call sites.
+The four job-metric families of a driver are a view of its run events:
+:class:`JobMetrics` declares them and folds each ``job_retried`` and
+``job_finished`` record into them (:mod:`repro.obs.stream`).
 """
 
 from __future__ import annotations
 
-import os
 import re
 import threading
 from bisect import bisect_left
@@ -49,35 +48,6 @@ SIZE_BUCKETS: Tuple[float, ...] = (
 
 _METRIC_NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_NAME_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-_ENV_DISABLE = "REPRO_TELEMETRY"
-
-_enabled = os.environ.get(_ENV_DISABLE, "1").lower() not in ("0", "false", "no")
-
-
-def enabled() -> bool:
-    """Whether instrumentation sites should record (the kill switch)."""
-    return _enabled
-
-
-def set_enabled(value: bool) -> bool:
-    """Flip the kill switch; returns the previous state (tests)."""
-    global _enabled
-    previous = _enabled
-    _enabled = bool(value)
-    return previous
-
-
-class disabled:
-    """Context manager: telemetry off inside the block (tests)."""
-
-    def __enter__(self) -> "disabled":
-        self._previous = set_enabled(False)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        set_enabled(self._previous)
-
 
 def _check_name(name: str) -> str:
     if not _METRIC_NAME_RE.match(name):
@@ -367,13 +337,62 @@ def get_registry() -> MetricsRegistry:
     return _REGISTRY
 
 
+#: Help texts that differ between the drivers' job-metric families.
+_JOB_HELP = {
+    "repro_engine": (
+        "Engine jobs finished, by final status.",
+        "Job attempts abandoned at the per-attempt deadline.",
+    ),
+    "repro_serve": (
+        "Completed jobs by final status.",
+        "Job attempts abandoned at the per-attempt timeout.",
+    ),
+}
+
+
+class JobMetrics:
+    """A driver's four job-metric families, folded from its run events.
+
+    ``prefix`` is ``repro_engine`` (the process-global registry) or
+    ``repro_serve`` (each server's own).  :meth:`fold` is the only
+    writer of these families; the driver calls it on every event it
+    emits.
+    """
+
+    def __init__(self, registry: MetricsRegistry, prefix: str) -> None:
+        jobs_help, timeouts_help = _JOB_HELP[prefix]
+        self.jobs = registry.counter(f"{prefix}_jobs_total", jobs_help, ["status"])
+        self.dispatch = registry.histogram(
+            f"{prefix}_dispatch_latency_seconds",
+            "Queue wait (wall minus compute) per executed job, seconds.",
+        )
+        self.retries = registry.counter(
+            f"{prefix}_retries_total",
+            "Job attempts re-dispatched after a failure or timeout.",
+        )
+        self.timeouts = registry.counter(f"{prefix}_timeouts_total", timeouts_help)
+
+    def fold(self, record: Dict) -> None:
+        """Count one run event: retries, timeouts, final statuses, queue waits."""
+        kind = record["kind"]
+        if kind not in ("job_retried", "job_finished"):
+            return
+        status = record["status"]
+        if status == "timeout":
+            self.timeouts.inc()
+        if kind == "job_retried":
+            self.retries.inc()
+            return
+        self.jobs.labels(status=status).inc()
+        if status != "cached":
+            self.dispatch.observe(record["queue_wait_s"])
+
+
 __all__ = [
     "LATENCY_BUCKETS_S",
     "SIZE_BUCKETS",
+    "JobMetrics",
     "Metric",
     "MetricsRegistry",
-    "disabled",
-    "enabled",
     "get_registry",
-    "set_enabled",
 ]

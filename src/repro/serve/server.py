@@ -26,11 +26,13 @@ no matter how many clients ask for it concurrently:
    backoff, and a stuck worker or a broken executor restarts the pool.
 
 Completions persist exactly like engine runs do — a cache entry and a
-sharded store record per job, one ``.stats`` sidecar when the run ends
-— and emit one ``job_finished`` event through the fan-out to every
-``/events`` subscriber.  Reports are byte-identical to CLI runs of the
-same request: workers execute the same ``execute_request`` path and
-serialize with the same canonical encoder.
+sharded store record per job, one ``.stats`` sidecar when the run ends.
+Every lifecycle transition is one run event in the engine's schema
+(:mod:`repro.obs.stream`), fanned out to every ``/events`` subscriber
+and folded into the job metrics as it is emitted.  Reports are
+byte-identical to CLI runs of the same request: workers execute the
+same ``execute_request`` path and serialize with the same canonical
+encoder.
 """
 
 from __future__ import annotations
@@ -208,23 +210,7 @@ class ServeApp:
             "repro_serve_queue_depth",
             "Admitted jobs executing or awaiting a dispatch slot.",
         )
-        self._m_jobs = registry.counter(
-            "repro_serve_jobs_total",
-            "Completed jobs by final status.",
-            ["status"],
-        )
-        self._m_dispatch = registry.histogram(
-            "repro_serve_dispatch_latency_seconds",
-            "Queue wait (wall minus compute) per executed job, seconds.",
-        )
-        self._m_timeouts = registry.counter(
-            "repro_serve_timeouts_total",
-            "Job attempts abandoned at the per-attempt timeout.",
-        )
-        self._m_retries = registry.counter(
-            "repro_serve_retries_total",
-            "Job attempts re-dispatched after a failure or timeout.",
-        )
+        self._job_metrics = telemetry.JobMetrics(registry, "repro_serve")
         self._m_subscribers = registry.gauge(
             "repro_serve_subscribers",
             "Live event-stream subscribers.",
@@ -309,12 +295,7 @@ class ServeApp:
         self.address = sock.getsockname()[:2]
         if on_bound is not None:
             on_bound(self.address)
-        self.fanout.emit(
-            "run_started",
-            run_id=self.run_id,
-            workers=self.config.workers,
-            server="repro-serve",
-        )
+        self._emit("run_started", workers=self.config.workers, server="repro-serve")
         if ready is not None:
             ready.set()
         try:
@@ -339,15 +320,9 @@ class ServeApp:
         for status, n in self._stats_acc.status_counts.items():
             if status in counts:
                 counts[status] = n
-        try:
-            self.fanout.emit(
-                "run_finished",
-                run_id=self.run_id,
-                duration_s=time.monotonic() - self._started_at,
-                **counts,
-            )
-        except RuntimeError:  # pragma: no cover - already closed
-            pass
+        self._emit(
+            "run_finished", duration_s=time.monotonic() - self._started_at, **counts
+        )
         # the run's one sidecar, written when it ends as an engine
         # run's is; until then (or if this write fails) `engine stats`
         # and `engine check` recompute the run from its store records
@@ -396,12 +371,11 @@ class ServeApp:
             try:
                 await self._route(writer, method, path, query, headers, body)
             finally:
-                if telemetry.enabled():
-                    endpoint = self._endpoint_label(path)
-                    self._m_requests.labels(endpoint=endpoint).inc()
-                    self._m_latency.labels(endpoint=endpoint).observe(
-                        time.monotonic() - started
-                    )
+                endpoint = self._endpoint_label(path)
+                self._m_requests.labels(endpoint=endpoint).inc()
+                self._m_latency.labels(endpoint=endpoint).observe(
+                    time.monotonic() - started
+                )
         except (
             ConnectionResetError,
             BrokenPipeError,
@@ -658,10 +632,7 @@ class ServeApp:
             return None
         hit = self.cache.get(request)
         job = self._materialize(request, request_hash, hit)
-        if telemetry.enabled():
-            self._m_cache.labels(
-                result="hit" if job is not None else "miss"
-            ).inc()
+        self._m_cache.labels(result="hit" if job is not None else "miss").inc()
         return job
 
     def _from_cache_hash(self, request_hash: str) -> Optional[Job]:
@@ -682,10 +653,7 @@ class ServeApp:
                 request = None
             if request is not None:
                 job = self._materialize(request, request_hash, hit)
-        if telemetry.enabled():
-            self._m_cache.labels(
-                result="hit" if job is not None else "miss"
-            ).inc()
+        self._m_cache.labels(result="hit" if job is not None else "miss").inc()
         return job
 
     def _materialize(self, request, request_hash: str, hit) -> Optional[Job]:
@@ -702,7 +670,6 @@ class ServeApp:
             index=self._job_index,
         )
         self._job_index += 1
-        job.finished_at = time.monotonic()
         self.jobs[request_hash] = job
         self._record(job)
         return job
@@ -721,7 +688,8 @@ class ServeApp:
             for sub in lifecycle.dispatch(now):
                 ((request_hash, attempt),) = sub.members
                 job = self.jobs[request_hash]
-                job.state, job.started_at = "running", job.started_at or now
+                job.state = "running"
+                self._emit("job_started", job, attempt=attempt, batch=1)
                 # workers always return a span summary: it rides in the
                 # job payload, the job_finished event and the sidecar
                 sub.handle = asyncio.ensure_future(
@@ -748,19 +716,22 @@ class ServeApp:
         return False
 
     def _apply(self, actions) -> None:
-        """Carry out the lifecycle's actions: metrics, restarts, results."""
+        """Carry out the lifecycle's actions: restarts, results, retries."""
         for action in actions:
             if isinstance(action, Restart):
                 for sub in action.abandoned:
                     sub.handle.cancel()
                 self.pool.restart()
-                continue
-            if action.status == "timeout" and telemetry.enabled():
-                self._m_timeouts.inc()
-            if isinstance(action, Finish):
+            elif isinstance(action, Finish):
                 self._complete(action)
-            elif telemetry.enabled():
-                self._m_retries.inc()
+            else:
+                self._emit(
+                    "job_retried",
+                    self.jobs[action.key],
+                    attempt=action.attempt,
+                    status=action.status,
+                    error=action.error,
+                )
 
     def _complete(self, finish: Finish) -> None:
         """Persist a finished job, then release its waiters.
@@ -778,9 +749,6 @@ class ServeApp:
             job.report_record = finish.result["report"]
             job.spans = finish.result.get("spans")
         job.state = "done"
-        job.finished_at = time.monotonic()
-        if telemetry.enabled():
-            self._m_dispatch.observe(finish.queue_wait_s)
         try:
             if finish.result is not None and self.cache is not None:
                 self.cache.put_report(job.request, job.report_record, finish.wall_s)
@@ -791,15 +759,25 @@ class ServeApp:
                 and self.counters.executed % max(1, config.prune_every) == 0
             ):
                 self.cache.prune(max_bytes=config.cache_max_bytes)
-                if telemetry.enabled():
-                    self._m_evicted_files.inc(self.cache.last_prune["files"])
-                    self._m_evicted_bytes.inc(self.cache.last_prune["bytes"])
+                self._m_evicted_files.inc(self.cache.last_prune["files"])
+                self._m_evicted_bytes.inc(self.cache.last_prune["bytes"])
         except Exception as exc:  # persistence must not strand waiters
             job.error = job.error or f"persist: {exc}"
         if job.future is not None and not job.future.done():
             job.future.set_result(job)
 
     # -- persistence + events -------------------------------------------
+    def _emit(self, kind: str, job: Optional[Job] = None, **fields) -> None:
+        """Emit one run event and fold it into the job metrics."""
+        if job is not None:
+            fields["benchmark"] = job.request.benchmark
+            fields["request_hash"] = job.request_hash
+        try:
+            record = self.fanout.emit(kind, run_id=self.run_id, **fields)
+        except RuntimeError:  # pragma: no cover - closed during shutdown
+            return
+        self._job_metrics.fold(record)
+
     def _record(
         self, job: Job, *, queue_wait: float = 0.0, compute: float = 0.0
     ) -> None:
@@ -818,26 +796,21 @@ class ServeApp:
             spans=job.spans,
         )
         self._stats_acc.add(result)
-        if telemetry.enabled():
-            self._m_jobs.labels(status=job.status or "failed").inc()
+        self._emit(
+            "job_finished",
+            job,
+            status=job.status,
+            attempts=job.attempts,
+            wall_time_s=job.wall_time_s,
+            queue_wait_s=queue_wait,
+            compute_time_s=compute,
+            error=job.error,
+            spans=job.spans,
+        )
         self._done_order.append(job.request_hash)
         self._evict_done()
         if self.store is not None:
             self.store.append(make_record(self.run_id, result))
-        try:
-            self.fanout.emit(
-                "job_finished",
-                run_id=self.run_id,
-                benchmark=job.request.benchmark,
-                request_hash=job.request_hash,
-                status=job.status,
-                attempts=job.attempts,
-                wall_time_s=job.wall_time_s,
-                error=job.error,
-                spans=job.spans,
-            )
-        except RuntimeError:  # pragma: no cover - closed during shutdown
-            pass
 
     def _evict_done(self) -> None:
         """Bound completed-job memory: drop the oldest done jobs.

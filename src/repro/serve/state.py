@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.engine.jobs import RunRequest
@@ -34,9 +34,6 @@ class Job:
     #: engine result status once done (ok / failed / timeout / cached)
     status: Optional[str] = None
     future: Optional["asyncio.Future"] = None
-    submitted_at: float = field(default_factory=time.monotonic)
-    started_at: Optional[float] = None
-    finished_at: Optional[float] = None
     attempts: int = 0
     wall_time_s: float = 0.0
     #: clients that attached to this job after the first submission

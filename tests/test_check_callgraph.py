@@ -9,6 +9,8 @@ fallback refuses ambiguous vocabulary.
 import ast
 from textwrap import dedent
 
+import pytest
+
 from repro.check.callgraph import (
     AMBIGUOUS_METHODS,
     CallGraph,
@@ -157,17 +159,20 @@ class TestDynamicDispatchFallback:
             "m:Pool.restart_generation"
         ]
 
-    def test_ambiguous_vocabulary_refused(self):
+    @pytest.mark.parametrize("name", ["sum", "cancelled", "exception"])
+    def test_ambiguous_vocabulary_refused(self, name):
         # 'sum' collides with numpy's ndarray vocabulary: a wild edge
-        # here would drag DistArray collectives into plain-array code
-        assert "sum" in AMBIGUOUS_METHODS
-        graph = build(("m.py", """\
+        # here would drag DistArray collectives into plain-array code;
+        # 'cancelled' and 'exception' are the future/task API, which a
+        # done-callback calls from a worker thread
+        assert name in AMBIGUOUS_METHODS
+        graph = build(("m.py", f"""\
             class Dist:
-                def sum(self):
+                def {name}(self):
                     pass
 
             def use(x):
-                return x.sum()
+                return x.{name}()
             """))
         assert edge_targets(graph, "m:use") == []
 

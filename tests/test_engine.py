@@ -1,7 +1,7 @@
 """Unit tests for the execution engine's building blocks.
 
 Covers run requests (canonical hashing), the content-addressed cache,
-the JSONL run store, event tracing, and sweep planning.  Executor
+the JSONL run store, run events, and sweep planning.  Executor
 behavior (parallelism, retries, timeouts) lives in
 ``test_engine_executor.py``.
 """
@@ -16,7 +16,6 @@ from repro.engine import (
     ResultCache,
     RunRequest,
     RunStore,
-    Tracer,
     code_fingerprint,
     diff_runs,
     execute_request,
@@ -24,11 +23,11 @@ from repro.engine import (
     machine_sweep_requests,
     new_run_id,
     plan_suite,
-    read_trace,
     sweep_from_results,
     tier_sweep_requests,
 )
 from repro.metrics.patterns import CommPattern
+from repro.obs.stream import read_stream, validate_stream
 from repro.suite import REGISTRY
 
 
@@ -354,53 +353,32 @@ class TestRunStore:
         assert "only in a: md" in text
 
 
-class TestTracer:
-    def test_jsonl_trace(self, tmp_path):
-        path = tmp_path / "trace.jsonl"
-        with Tracer(path) as tracer:
-            tracer.emit("run_started", detail="r1", jobs=2)
-            tracer.emit(
-                "job_finished", RunRequest("fft"), status="ok", attempt=1
-            )
-        events = read_trace(path)
-        assert [e["kind"] for e in events] == ["run_started", "job_finished"]
-        assert events[1]["benchmark"] == "fft"
-        assert events[1]["status"] == "ok"
-        assert events[1]["request_hash"] == RunRequest("fft").content_hash()
-        assert events[1]["ts"] >= events[0]["ts"]
-
-    def test_callback(self):
-        seen = []
-        tracer = Tracer(callback=seen.append)
-        tracer.emit("job_submitted", RunRequest("lu"))
-        assert seen[0].kind == "job_submitted"
-        assert seen[0].benchmark == "lu"
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown event kind"):
-            Tracer(callback=lambda e: None).emit("job_exploded")
-
-    def test_disabled_tracer_is_noop(self):
-        assert Tracer().emit("run_started") is None
-
+class TestRunEvents:
     def test_engine_emits_lifecycle(self, tmp_path):
-        events = []
-        engine = Engine(
-            EngineConfig(jobs=1), tracer=Tracer(callback=events.append)
-        )
+        path = tmp_path / "events.jsonl"
+        engine = Engine(EngineConfig(jobs=1, stream=path))
         engine.run([RunRequest("ellip-2d", params={"nx": 8})])
-        kinds = [e.kind for e in events]
+        events = read_stream(path, strict=True)
+        kinds = [e["kind"] for e in events]
         assert kinds == [
             "run_started",
-            "job_submitted",
             "job_started",
             "job_finished",
-            "run_summary",
             "run_finished",
         ]
-        summary = events[kinds.index("run_summary")]
-        assert summary.extra["throughput_jobs_per_s"] > 0
-        assert summary.extra["cache_hit_rate"] == 0.0
+        assert validate_stream(events) == []
+        started = events[1]
+        assert (started["benchmark"], started["attempt"], started["batch"]) == (
+            "ellip-2d", 1, 1,
+        )
+        assert started["request_hash"] == RunRequest(
+            "ellip-2d", params={"nx": 8}
+        ).content_hash()
+        summary = events[-1]
+        assert summary["throughput_jobs_per_s"] > 0
+        assert summary["cache_hit_rate"] == 0.0
+        assert summary["ok"] == 1 and summary["retries"] == 0
+        assert summary["ts"] >= events[0]["ts"]
 
 
 class TestPlanning:

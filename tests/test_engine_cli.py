@@ -73,10 +73,10 @@ class TestSuiteFlags:
         assert "InjectedFailure" in out
 
     def test_trace_written(self, tmp_path, capsys):
-        trace = tmp_path / "trace.jsonl"
-        assert main(["suite", "--trace", str(trace)]) == 0
+        stream = tmp_path / "events.jsonl"
+        assert main(["suite", "--stream", str(stream)]) == 0
         events = [
-            json.loads(line) for line in trace.read_text().splitlines()
+            json.loads(line) for line in stream.read_text().splitlines()
         ]
         kinds = {e["kind"] for e in events}
         assert {"run_started", "job_finished", "run_finished"} <= kinds

@@ -26,8 +26,8 @@ from repro.engine.pool import (
     _parse_injection,
     _pool_supported,
 )
-from repro.engine.trace import Tracer
 from repro.metrics.serialize import canonical_report_json
+from repro.obs.stream import read_stream
 from repro.suite import run_suite
 
 # A small, fast, structurally diverse slice of the suite.
@@ -325,16 +325,15 @@ class TestBatchDispatch:
         finally:
             pool.shutdown()
 
-    def test_failed_member_fails_alone_and_retries_solo(self, monkeypatch):
+    def test_failed_member_fails_alone_and_retries_solo(self, monkeypatch, tmp_path):
         """A failing batch member never takes down its siblings."""
         monkeypatch.setenv(ENV_INJECT_FAIL, "fft")
-        events = []
+        stream = tmp_path / "events.jsonl"
         pool = self._seeded_pool(SUBSET)
         try:
             engine = Engine(
-                EngineConfig(jobs=1, retries=1, backoff=0.0),
+                EngineConfig(jobs=1, retries=1, backoff=0.0, stream=stream),
                 pool=pool,
-                tracer=Tracer(callback=events.append),
             )
             results = engine.run(subset_requests())
         finally:
@@ -348,15 +347,12 @@ class TestBatchDispatch:
                 assert by_name[name].status == "ok"
                 assert by_name[name].attempts == 1
         # The retry must have been dispatched solo, not re-batched.
-        retry_starts = [
-            e
-            for e in events
-            if e.kind == "job_started"
-            and e.benchmark == "fft"
-            and e.attempt == 2
-        ]
-        assert retry_starts
-        assert all(not e.extra.get("batched") for e in retry_starts)
+        fft_starts = {
+            e["attempt"]: e["batch"]
+            for e in read_stream(stream)
+            if e["kind"] == "job_started" and e["benchmark"] == "fft"
+        }
+        assert fft_starts == {1: len(SUBSET), 2: 1}
 
     def test_expired_batch_times_out_only_the_stuck_member(self):
         """Timeout attribution stays per-member after a batch expiry.

@@ -388,17 +388,24 @@ class TestEventStream:
         stream = EventStream(path)
         assert not path.exists()  # nothing written yet
         stream.emit("run_started", run_id="r1", n_jobs=2)
+        stream.emit("job_started", benchmark="fft", attempt=1, batch=1)
+        stream.emit("job_retried", benchmark="fft", attempt=1, status="failed")
         stream.emit("job_finished", benchmark="fft", status="ok")
         stream.emit("run_finished", duration_s=1.0)
         stream.close()
         events = read_stream(path)
         assert [e["kind"] for e in events] == list(STREAM_EVENT_KINDS)
-        assert [e["seq"] for e in events] == [0, 1, 2]
+        assert STREAM_EVENT_KINDS == (
+            "run_started", "job_started", "job_retried", "job_finished",
+            "run_finished",
+        )
+        assert [e["seq"] for e in events] == [0, 1, 2, 3, 4]
+        assert all(isinstance(e["ts"], float) for e in events)
 
     def test_unknown_kind_rejected(self, tmp_path):
         stream = EventStream(tmp_path / "events.jsonl")
         with pytest.raises(ValueError, match="unknown stream event kind"):
-            stream.emit("job_started")
+            stream.emit("job_submitted")
 
     def test_context_manager_closes(self, tmp_path):
         path = tmp_path / "events.jsonl"

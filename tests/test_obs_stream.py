@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.obs.stream import (
+    EVENT_FIELDS,
     EventFanout,
     EventStream,
     read_stream,
@@ -32,6 +33,28 @@ def write_lines(path, lines, *, trailing_newline=True):
 
 def event(kind: str, seq: int, **fields) -> str:
     return json.dumps({"kind": kind, "seq": seq, **fields})
+
+
+#: One complete record of each kind's own fields (see EVENT_FIELDS).
+FIELDS = {
+    "run_started": {"workers": 2},
+    "job_started": {
+        "benchmark": "fft", "request_hash": "ab" * 32, "attempt": 1,
+        "batch": 1,
+    },
+    "job_retried": {
+        "benchmark": "fft", "request_hash": "ab" * 32, "attempt": 1,
+        "status": "failed", "error": "InjectedFailure: boom",
+    },
+    "job_finished": {
+        "benchmark": "fft", "request_hash": "ab" * 32, "status": "ok",
+        "attempts": 2, "wall_time_s": 0.5, "queue_wait_s": 0.1,
+        "compute_time_s": 0.4, "error": "", "spans": None,
+    },
+    "run_finished": {
+        "duration_s": 1.0, "ok": 1, "failed": 0, "timeout": 0, "cached": 0,
+    },
+}
 
 
 class TestPartialReads:
@@ -103,16 +126,14 @@ class TestPartialReads:
 class TestValidateStream:
     def good(self):
         return [
-            {"kind": "run_started", "seq": 0, "run_id": "r"},
-            {
-                "kind": "job_finished", "seq": 1, "benchmark": "fft",
-                "status": "ok", "request_hash": "ab" * 32,
-            },
-            {"kind": "run_finished", "seq": 2, "run_id": "r"},
+            {"kind": kind, "seq": seq, "ts": 1.0 + seq, "run_id": "r", **fields}
+            for seq, (kind, fields) in enumerate(FIELDS.items())
         ]
 
     def test_valid_stream_has_no_problems(self):
-        assert validate_stream(self.good()) == []
+        events = self.good()
+        assert [e["kind"] for e in events] == list(EVENT_FIELDS)
+        assert validate_stream(events) == []
 
     def test_unknown_kind_flagged(self):
         events = self.good()
@@ -127,10 +148,43 @@ class TestValidateStream:
     def test_missing_lifecycle_fields_flagged(self):
         events = self.good()
         del events[0]["run_id"]
-        del events[1]["request_hash"]
+        del events[3]["request_hash"]
         problems = validate_stream(events)
         assert any("run_id" in p for p in problems)
         assert any("request_hash" in p for p in problems)
+
+    @pytest.mark.parametrize("kind", list(EVENT_FIELDS))
+    def test_every_field_of_every_kind_is_checked(self, kind):
+        position = list(EVENT_FIELDS).index(kind)
+        for key in ("ts", "run_id") + EVENT_FIELDS[kind]:
+            events = self.good()
+            del events[position][key]
+            assert validate_stream(events) == [
+                f"event {position}: {kind} missing {key}"
+            ]
+
+    def test_retry_status_must_be_failed_or_timeout(self):
+        events = self.good()
+        events[2]["status"] = "ok"
+        assert validate_stream(events) == ["event 2: job_retried status 'ok'"]
+
+    def test_engine_trace_files_still_read(self, tmp_path):
+        # the JSONL an engine run's --trace flag used to write
+        path = write_lines(tmp_path / "trace.jsonl", [
+            json.dumps({
+                "kind": "job_submitted", "ts": 1.0, "benchmark": "fft",
+                "request_hash": "ab" * 32, "attempt": 0, "status": "",
+                "detail": "",
+            }),
+            json.dumps({
+                "kind": "run_summary", "ts": 2.0, "benchmark": "",
+                "request_hash": "", "attempt": 0, "status": "",
+                "detail": "r", "retries": 0,
+            }),
+        ])
+        events = read_stream(path, strict=True)
+        assert [e["kind"] for e in events] == ["job_submitted", "run_summary"]
+        assert len(validate_stream(events)) == 2  # kinds of the old trace
 
 
 class TestEventFanout:
@@ -140,10 +194,7 @@ class TestEventFanout:
         sub_a = fanout.subscribe()
         sub_b = fanout.subscribe()
         fanout.emit("run_started", run_id="r", workers=2)
-        fanout.emit(
-            "job_finished", benchmark="fft", status="ok",
-            request_hash="ab" * 32,
-        )
+        fanout.emit("job_finished", run_id="r", **FIELDS["job_finished"])
         fanout.close()
         events_a = list(sub_a)
         events_b = list(sub_b)

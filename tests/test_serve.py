@@ -196,7 +196,7 @@ class TestEventStreaming:
 
         def watch() -> None:
             client = ServeClient(host, port)
-            gen = client.watch(count=3, timeout=60)
+            gen = client.watch(count=5, timeout=60)
             first = next(gen)  # replayed run_started
             events.append(first)
             ready.set()
@@ -210,16 +210,22 @@ class TestEventStreaming:
         client.submit({"benchmark": "scatter", "params": {"n": 256}})
         watcher.join(timeout=60)
         assert [e["kind"] for e in events] == [
-            "run_started", "job_finished", "job_finished",
+            "run_started",
+            "job_started", "job_finished",
+            "job_started", "job_finished",
         ]
         assert validate_stream(events) == []
-        finished = events[1:]
-        assert {e["benchmark"] for e in finished} == {"gather", "scatter"}
-        for event in finished:
+        finished = events[2::2]
+        assert [e["benchmark"] for e in finished] == ["gather", "scatter"]
+        for started, event in zip(events[1::2], finished):
+            assert (started["attempt"], started["batch"]) == (1, 1)
+            assert started["request_hash"] == event["request_hash"]
+            assert started["ts"] <= event["ts"]
             assert event["status"] == "ok"
             assert event["run_id"]
             assert len(event["request_hash"]) == 64
             assert event["spans"] is not None
+            assert event["compute_time_s"] > 0
 
     def test_two_subscribers_see_the_same_events(self, server):
         host, port, _ = server
@@ -227,7 +233,7 @@ class TestEventStreaming:
         ready = threading.Barrier(3, timeout=30)
 
         def watch(slot: int) -> None:
-            gen = ServeClient(host, port).watch(count=2, timeout=60)
+            gen = ServeClient(host, port).watch(count=3, timeout=60)
             seen[slot].append(next(gen))
             ready.wait()
             seen[slot].extend(gen)
@@ -243,9 +249,11 @@ class TestEventStreaming:
         )
         for w in watchers:
             w.join(timeout=60)
-        assert [e["kind"] for e in seen[0]] == ["run_started", "job_finished"]
-        # both watchers got the identical job_finished record
-        assert seen[0][1] == seen[1][1]
+        assert [e["kind"] for e in seen[0]] == [
+            "run_started", "job_started", "job_finished",
+        ]
+        # both watchers got the identical job records
+        assert seen[0][1:] == seen[1][1:]
 
     def test_stream_file_sink_written_and_valid(self, server):
         host, port, tmp = server

@@ -5,9 +5,8 @@ label-bounded; the hand-rolled Prometheus text exposition round-trips
 through the strict in-tree parser; a live server's ``/metrics``
 answers valid exposition whose counters reconcile **exactly** (``==``)
 with ``/stats`` after a 16-concurrent-client workload; and telemetry
-is benchmark-metrics-invisible — canonical report JSON is
-byte-identical with the registry enabled and disabled for every
-registered benchmark.
+is benchmark-metrics-invisible — running any registered benchmark
+leaves the registry untouched.
 """
 
 import math
@@ -15,7 +14,6 @@ import threading
 
 import pytest
 
-from repro.metrics.serialize import canonical_report_json, report_to_dict
 from repro.obs import telemetry
 from repro.obs.expo import (
     ExpositionError,
@@ -184,22 +182,6 @@ class TestExposition:
         assert math.isinf(histogram_quantile(stats, 0.999))
 
 
-class TestKillSwitch:
-    def test_disabled_context_restores(self):
-        assert telemetry.enabled()
-        with telemetry.disabled():
-            assert not telemetry.enabled()
-        assert telemetry.enabled()
-
-    def test_set_enabled_returns_previous(self):
-        previous = telemetry.set_enabled(False)
-        try:
-            assert previous is True
-            assert not telemetry.enabled()
-        finally:
-            telemetry.set_enabled(previous)
-
-
 @pytest.fixture(scope="module")
 def server(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("telemetry-serve")
@@ -354,20 +336,13 @@ class TestMetricsEndpoint:
             conn.close()
 
 
-def _run(name: str) -> dict:
-    session = open_session("cm5", 32)
-    report = run_benchmark(name, session, **SMALL_PARAMS.get(name, {}))
-    return report_to_dict(report)
-
-
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_telemetry_is_benchmark_metrics_invisible(name):
-    """Canonical report JSON byte-identical with telemetry on vs off."""
-    assert telemetry.enabled()
-    on = _run(name)
-    with telemetry.disabled():
-        off = _run(name)
-    assert canonical_report_json(on) == canonical_report_json(off)
+    """The simulation never writes the registry: a run leaves it as it was."""
+    registry = telemetry.get_registry()
+    before = registry.collect()
+    run_benchmark(name, open_session("cm5", 32), **SMALL_PARAMS.get(name, {}))
+    assert registry.collect() == before
 
 
 def test_latency_buckets_are_strictly_increasing_and_finite():
