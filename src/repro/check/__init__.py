@@ -1,4 +1,4 @@
-"""Accounting linter and FLOP/comm sanitizer (``repro check``).
+"""Static linter and FLOP/comm sanitizer (``repro check``).
 
 The paper's value is its *accounting*: every benchmark is characterized
 by FLOP counts under the Hennessy-Patterson convention (§1.5), a
@@ -6,27 +6,26 @@ communication-pattern inventory and a memory footprint.  In this
 reproduction those charges are explicit ``session.charge_*`` /
 ``record_comm`` calls sitting next to the NumPy math, so a drifted or
 missing charge silently corrupts the metrics the suite exists to
-report.  This package makes accounting drift a CI failure instead of a
-latent paper-fidelity bug, with two cooperating layers:
+report.  This package has two layers:
 
-* :mod:`repro.check.lint` — a static AST linter, run over the
-  benchmark, collective-library and serving sources through a
-  module-level call graph (:mod:`repro.check.callgraph`): accounting
-  rules RC001-RC004 and RC006 (uncharged compute, charge-kind
-  mismatch, comm without record, session misuse, dangling spans)
-  with interprocedural charge scopes, RC008 communication-pattern conformance against the
-  registry (:mod:`repro.check.inventory`), and the RC101-RC104
-  concurrency family for the async serving stack
-  (:mod:`repro.check.concurrency`).  Results export to SARIF 2.1.0
-  (:mod:`repro.check.sarif`).
 * :mod:`repro.check.sanitizer` — a runtime audit mode that
   shadow-counts the NumPy operations actually executed on distributed
   payloads (via a thin ufunc-intercept array subclass) and diffs them
   against the charged FLOPs and communication events, per region.
+  Tier-1 audits every benchmark version against committed tallies
+  (``tests/test_audit_pins.py``), so an uncharged operation or an
+  unrecorded move fails a test.
+* :mod:`repro.check.lint` — a static AST linter, run over the
+  benchmark, collective-library and serving sources through a
+  module-level call graph (:mod:`repro.check.callgraph`): session
+  discipline rules RC004 and RC006 (session misuse, dangling spans),
+  RC008 communication-pattern conformance against the registry
+  (:mod:`repro.check.inventory`), and the RC101-RC104 concurrency
+  family for the async serving stack (:mod:`repro.check.concurrency`).
+  Results export to SARIF 2.1.0 (:mod:`repro.check.sarif`).
 
-Pre-existing findings can be suppressed — with justification — in a
-:mod:`baseline file <repro.check.baseline>` (``.repro-check.toml``) so
-the rule set can ratchet toward zero instead of blocking adoption.
+Pre-existing lint findings can be suppressed — with justification — in
+a :mod:`baseline file <repro.check.baseline>` (``.repro-check.toml``).
 
 See ``docs/CHECKS.md`` for the rule catalog and CLI usage.
 """

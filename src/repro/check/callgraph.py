@@ -1,17 +1,10 @@
-"""Module-level call graph with per-function summaries.
-
-Helpers are everywhere — collective primitives, engine plumbing —
-and the per-function linter's taint model deliberately stops at call
-boundaries ("helpers are charged by their callers").  That convention
-is only sound if *somebody* in the call chain charges; this module is
-how the linter checks the chain.
+"""Module-level call graph over every function in scope.
 
 The graph is built once per lint run over every file in scope:
 
-* each module is parsed and every function scanned twice with
-  :func:`repro.check.rules.scan_function` — once normally and once
-  with all parameters pre-tainted, so we learn whether a helper
-  computes on (or moves) what callers hand it;
+* each module is parsed and every function scanned once with
+  :func:`repro.check.rules.scan_function`, which records its call
+  sites;
 * call edges are resolved through imports (``from x import f``,
   ``import x as a``), same-module names, ``self.method`` dispatch,
   constructor-inferred attribute/local types (``self.pool =
@@ -21,15 +14,10 @@ The graph is built once per lint run over every file in scope:
   (``Thread(target=f)``, ``executor.submit(f)``,
   ``loop.run_in_executor(None, f)``, ``fanout.subscribe(f)``) are
   kept separately as thread entries — they are not call edges, because
-  the registering function never runs them in its own context;
-* a fixpoint pass propagates monotone summaries (charges emitted,
-  FLOP kinds, comm recorded, param-compute/param-movement) along call
-  edges until stable.
+  the registering function never runs them in its own context.
 
-Consumers: :mod:`repro.check.lint` annotates
-:class:`~repro.check.rules.FunctionFacts` with the transitive fields
-so RC001/RC002/RC003 see through calls; :mod:`repro.check.concurrency`
-and :mod:`repro.check.inventory` run their own analyses over the same
+Consumers: :mod:`repro.check.concurrency` (RC101-RC104) and
+:mod:`repro.check.inventory` (RC008) run their own analyses over the
 edges.  See docs/CHECKS.md ("The call graph").
 """
 
@@ -39,13 +27,7 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.check.rules import (
-    SPECIAL_KINDS,
-    FunctionFacts,
-    RawCall,
-    _Site,
-    scan_function,
-)
+from repro.check.rules import FunctionFacts, RawCall, scan_function
 
 #: Method names never resolved through the unique-name fallback: they
 #: collide with builtin container/string/file/concurrency vocabulary,
@@ -97,7 +79,6 @@ class ResolvedCall:
     target: str          # callee qualname ("module:symbol")
     line: int
     col: int
-    args_tainted: bool   # under the base scan's taint
     name: str            # callee short name, for messages
 
 
@@ -137,9 +118,7 @@ class FunctionNode:
     node: ast.AST
     is_async: bool
     class_name: Optional[str]
-    params: Tuple[str, ...]
     facts: FunctionFacts
-    param_facts: FunctionFacts
     resolved: List[ResolvedCall] = field(default_factory=list)
     thread_targets: List[ThreadTarget] = field(default_factory=list)
 
@@ -157,20 +136,6 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
     #: name -> (module, original name)  (``from x import y [as z]``)
     from_imports: Dict[str, Tuple[str, str]] = field(default_factory=dict)
-
-
-@dataclass
-class Summary:
-    """Transitive facts for one function, after the fixpoint."""
-
-    charges_anything: bool = False
-    charges_flops: bool = False
-    charged_kinds: Set[str] = field(default_factory=set)
-    records_comm: bool = False
-    computes_on_params: bool = False
-    moves_params: bool = False
-    #: 4x/8x kinds the function executes on its parameters uncharged
-    param_kinds: Set[str] = field(default_factory=set)
 
 
 def module_name_for(path: str) -> str:
@@ -203,25 +168,12 @@ def _iter_defs(tree: ast.Module):
     yield from walk(tree.body, "", None)
 
 
-def _param_names(node: ast.AST) -> Tuple[str, ...]:
-    if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        return ()
-    a = node.args
-    names = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
-    if a.vararg:
-        names.append(a.vararg.arg)
-    if a.kwarg:
-        names.append(a.kwarg.arg)
-    return tuple(n for n in names if n not in ("self", "cls"))
-
-
 class CallGraph:
     """The project-wide graph.  Build with :meth:`build`."""
 
     def __init__(self) -> None:
         self.modules: Dict[str, ModuleInfo] = {}
         self.functions: Dict[str, FunctionNode] = {}
-        self.summaries: Dict[str, Summary] = {}
         #: method name -> qualnames defining it (fallback dispatch)
         self.method_index: Dict[str, List[str]] = {}
         #: class qualname ("module:Class") -> ClassInfo
@@ -240,7 +192,6 @@ class CallGraph:
         graph._resolve_attr_types()
         for fn in graph.functions.values():
             graph._resolve_calls(fn)
-        graph._fixpoint()
         return graph
 
     def _add_module(self, path: str, tree: ast.Module) -> None:
@@ -283,13 +234,6 @@ class CallGraph:
                 mod.classes[node.name] = info
                 self.class_index[f"{mod.name}:{node.name}"] = info
         for symbol, class_name, node in _iter_defs(tree):
-            params = _param_names(node)
-            facts = scan_function(node, symbol)
-            param_facts = (
-                scan_function(node, symbol, params=params)
-                if params
-                else facts
-            )
             qualname = f"{mod.name}:{symbol}"
             fn = FunctionNode(
                 qualname=qualname,
@@ -299,9 +243,7 @@ class CallGraph:
                 node=node,
                 is_async=isinstance(node, ast.AsyncFunctionDef),
                 class_name=class_name,
-                params=params,
-                facts=facts,
-                param_facts=param_facts,
+                facts=scan_function(node, symbol),
             )
             mod.functions[symbol] = fn
             self.functions[qualname] = fn
@@ -525,173 +467,5 @@ class CallGraph:
             tq = self.resolve_ref(fn, rc.func, local_types)
             if tq and tq != fn.qualname:
                 fn.resolved.append(ResolvedCall(
-                    tq, rc.line, rc.col, rc.args_tainted, rc.name or ""
+                    tq, rc.line, rc.col, rc.name or ""
                 ))
-
-    # -- summaries ------------------------------------------------------
-    @staticmethod
-    def _param_only_sites(fn: FunctionNode) -> List[_Site]:
-        """Compute sites present only under the param-tainted scan."""
-        base = {(s.line, s.col) for s in fn.facts.compute_sites}
-        return [
-            s for s in fn.param_facts.compute_sites
-            if (s.line, s.col) not in base
-        ]
-
-    @staticmethod
-    def _param_only_moves(fn: FunctionNode) -> List[_Site]:
-        base = {(s.line, s.col) for s in fn.facts.movement_sites}
-        return [
-            s for s in fn.param_facts.movement_sites
-            if (s.line, s.col) not in base
-        ]
-
-    def _fixpoint(self) -> None:
-        from repro.check.rules import CHARGING_WRAPPERS
-
-        flops_wrappers = CHARGING_WRAPPERS - {
-            "cshift", "eoshift", "stencil_shifts"
-        }
-        escaping: Dict[str, List[str]] = {}
-        for qn, fn in self.functions.items():
-            facts = fn.facts
-            s = Summary(
-                charges_anything=(
-                    bool(facts.charge_calls)
-                    or bool(facts.wrapper_calls)
-                    or facts.has_record_comm
-                ),
-                charges_flops=(
-                    bool(facts.charge_calls)
-                    or bool(facts.wrapper_calls & flops_wrappers)
-                ),
-                charged_kinds=set(facts.charged_kinds),
-                records_comm=(
-                    facts.has_record_comm or bool(facts.wrapper_calls)
-                ),
-            )
-            # reference implementations are verification baselines:
-            # deliberately uncharged, and callers comparing against
-            # them are not hiding work (the same exemption the
-            # per-function taint model grants their bodies)
-            is_reference = "reference" in fn.symbol.lower()
-            p_sites = [] if is_reference else self._param_only_sites(fn)
-            s.computes_on_params = bool(p_sites)
-            s.param_kinds = {
-                site.kind for site in p_sites
-                if site.kind in SPECIAL_KINDS
-            }
-            s.moves_params = (
-                not is_reference and bool(self._param_only_moves(fn))
-            )
-            self.summaries[qn] = s
-            # calls whose arguments are tainted only because the params
-            # were: the conduits for param-compute transitivity
-            base_tainted = {
-                (c.line, c.col) for c in facts.calls if c.args_tainted
-            }
-            conduits: List[str] = []
-            for rc2 in fn.param_facts.calls:
-                if not rc2.args_tainted:
-                    continue
-                if (rc2.line, rc2.col) in base_tainted:
-                    continue
-                tq = next(
-                    (
-                        r.target for r in fn.resolved
-                        if (r.line, r.col) == (rc2.line, rc2.col)
-                    ),
-                    None,
-                )
-                if tq:
-                    conduits.append(tq)
-            escaping[qn] = conduits
-
-        for _ in range(64):
-            changed = False
-            for qn, fn in self.functions.items():
-                s = self.summaries[qn]
-                for edge in fn.resolved:
-                    t = self.summaries.get(edge.target)
-                    if t is None:
-                        continue
-                    if t.charges_anything and not s.charges_anything:
-                        s.charges_anything = True
-                        changed = True
-                    if t.charges_flops and not s.charges_flops:
-                        s.charges_flops = True
-                        changed = True
-                    if not t.charged_kinds <= s.charged_kinds:
-                        s.charged_kinds |= t.charged_kinds
-                        changed = True
-                    if t.records_comm and not s.records_comm:
-                        s.records_comm = True
-                        changed = True
-                if "reference" in fn.symbol.lower():
-                    continue  # reference baselines stay exempt
-                for tq in escaping[qn]:
-                    t = self.summaries.get(tq)
-                    if t is None:
-                        continue
-                    if t.computes_on_params and not s.computes_on_params:
-                        s.computes_on_params = True
-                        changed = True
-                    if not t.param_kinds <= s.param_kinds:
-                        s.param_kinds |= t.param_kinds
-                        changed = True
-                    if t.moves_params and not s.moves_params:
-                        s.moves_params = True
-                        changed = True
-            if not changed:
-                break
-
-    # -- annotation (consumed by repro.check.lint) ----------------------
-    def annotate(self) -> None:
-        """Write transitive evidence back onto each function's facts.
-
-        After this, the per-function rule emitters in
-        :mod:`repro.check.rules` see through calls: the ``callee_*``
-        flags extend each function's charge scope to its transitive
-        callees, and ``call_compute_sites``/``call_movement_sites``
-        carry evidence for tainted payloads handed to helpers that
-        compute or move without charging.
-        """
-        for fn in self.functions.values():
-            facts = fn.facts
-            for edge in fn.resolved:
-                t = self.summaries.get(edge.target)
-                if t is None:
-                    continue
-                facts.callee_charges_anything |= t.charges_anything
-                facts.callee_charges_flops |= t.charges_flops
-                facts.callee_charged_kinds |= t.charged_kinds
-                facts.callee_records_comm |= t.records_comm
-                if not edge.args_tainted:
-                    continue
-                short = edge.name or edge.target.rsplit(":", 1)[-1]
-                if t.computes_on_params and not t.charges_anything:
-                    facts.call_compute_sites.append(_Site(
-                        edge.line, edge.col, None,
-                        f"call to {short}() which computes on the "
-                        "handed payload without charging",
-                    ))
-                    for kind in sorted(t.param_kinds):
-                        facts.call_compute_sites.append(_Site(
-                            edge.line, edge.col, kind,
-                            f"call to {short}() which executes a "
-                            f"{kind} on the handed payload",
-                        ))
-                if t.moves_params and not t.records_comm:
-                    facts.call_movement_sites.append(_Site(
-                        edge.line, edge.col, None,
-                        f"call to {short}() which moves the handed "
-                        "payload without recording",
-                    ))
-
-    # -- convenience ----------------------------------------------------
-    def callees(self, qualname: str) -> List[ResolvedCall]:
-        fn = self.functions.get(qualname)
-        return list(fn.resolved) if fn else []
-
-    def summary(self, qualname: str) -> Optional[Summary]:
-        return self.summaries.get(qualname)

@@ -10,12 +10,6 @@ from typing import Dict, List, Sequence
 #: lives in docs/CHECKS.md).
 RULES: Dict[str, str] = {
     "RC000": "source does not parse: nothing else can be checked",
-    "RC001": "uncharged compute: numpy arithmetic on distributed data "
-    "in a function that charges nothing",
-    "RC002": "charge-kind mismatch: a 4x/8x-weighted operation (sqrt, "
-    "div, transcendental) with no charge of that FlopKind",
-    "RC003": "comm without record: distributed data movement with no "
-    "record_comm and no collective-library call",
     "RC004": "session misuse: reused session, or region not used as a "
     "context manager",
     "RC006": "dangling span: session.iteration(...) never entered "

@@ -1,10 +1,10 @@
-"""Lint driver: walk sources, scan functions, apply rules RC001-RC104.
+"""Lint driver: walk sources, build the call graph, apply the rules.
 
-Entry points:
+Every entry point builds one call graph over its sources and runs the
+per-function rules (RC004, RC006), RC008 and the RC1xx concurrency
+family through it:
 
-* :func:`lint_source` — lint one source string (used by tests).  Runs
-  the per-function rules by default; pass ``interprocedural=True`` to
-  build a one-module call graph first.
+* :func:`lint_source` — lint one source string (used by tests).
 * :func:`lint_sources` — lint several named source strings through one
   shared call graph (cross-module fixtures, RC008 with hand-built
   inventories).
@@ -19,50 +19,18 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import (
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.check.baseline import Baseline, load_baseline
 from repro.check.callgraph import CallGraph
 from repro.check.concurrency import concurrency_findings
 from repro.check.findings import Finding, LintResult
 from repro.check.inventory import AppInventory, inventory_findings
-from repro.check.rules import apply_rules, scan_function
+from repro.check.rules import apply_rules
 
-#: Directories never linted (fixtures with intentionally bad charging
-#: live under tests/).
+#: Directories never linted (fixtures with intentionally bad code live
+#: under tests/).
 SKIP_PARTS = {"__pycache__", ".git", "tests"}
-
-
-def _iter_functions(
-    tree: ast.Module,
-) -> Iterator[tuple]:
-    """Yield ``(symbol, node)`` for the module and every function.
-
-    Functions are yielded with dotted symbols (``Class.method``,
-    ``outer.inner``); the module's top-level statements are scanned as
-    ``<module>`` with nested definitions excluded (they get their own
-    scan).
-    """
-    yield "<module>", tree
-
-    def walk(body: Iterable[ast.stmt], prefix: str) -> Iterator[tuple]:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                symbol = f"{prefix}{node.name}"
-                yield symbol, node
-                yield from walk(node.body, f"{symbol}.")
-            elif isinstance(node, ast.ClassDef):
-                yield from walk(node.body, f"{prefix}{node.name}.")
-
-    yield from walk(tree.body, "")
 
 
 def _parse_units(
@@ -96,7 +64,6 @@ def _graph_findings(
 ) -> List[Finding]:
     """All findings for a unit set through one shared call graph."""
     graph = CallGraph.build(units)
-    graph.annotate()
     findings: List[Finding] = []
     for fn in graph.functions.values():
         findings.extend(apply_rules(fn.facts, fn.path))
@@ -106,27 +73,9 @@ def _graph_findings(
     return findings
 
 
-def lint_source(
-    source: str,
-    path: str = "<string>",
-    *,
-    interprocedural: bool = False,
-) -> List[Finding]:
-    """Lint one source string; returns raw findings (no baseline).
-
-    The default is the per-function analysis (taint stops at call
-    boundaries) so rule fixtures stay minimal;
-    ``interprocedural=True`` builds a one-module call graph, which
-    also enables the RC1xx concurrency rules.
-    """
-    if interprocedural:
-        return lint_sources([(path, source)])
-    units, findings = _parse_units([(path, source)])
-    for shown, tree in units:
-        for symbol, node in _iter_functions(tree):
-            findings.extend(apply_rules(scan_function(node, symbol), shown))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings
+def lint_source(source: str, path: str = "<string>") -> List[Finding]:
+    """Lint one source string; returns raw findings (no baseline)."""
+    return lint_sources([(path, source)])
 
 
 def lint_sources(
@@ -166,7 +115,6 @@ def lint_paths(
     baseline: Optional[Baseline] = None,
     baseline_path: Optional[Path] = None,
     root: Optional[Path] = None,
-    interprocedural: bool = True,
     report_paths: Optional[Iterable[str]] = None,
 ) -> LintResult:
     """Lint files/dirs and apply the baseline.
@@ -175,13 +123,10 @@ def lint_paths(
     current directory) so they match baseline entries regardless of how
     the linted paths were spelled.
 
-    ``interprocedural`` (default on) builds the whole-scope call graph
-    before applying the rules — taint flows through helpers, and the
-    RC008/RC1xx families run.  ``report_paths`` (relative path
-    strings) filters the *reported* findings to those files after the
-    baseline is applied against the full set, so ``--changed`` shares
-    the full-repo graph and never invents stale-suppression noise for
-    files outside the diff.
+    ``report_paths`` (relative path strings) filters the *reported*
+    findings to those files after the baseline is applied against the
+    full set, so ``--changed`` shares the full-repo graph and never
+    invents stale-suppression noise for files outside the diff.
     """
     if baseline is None:
         baseline = load_baseline(baseline_path)
@@ -196,12 +141,7 @@ def lint_paths(
             shown = str(file_path)
         sources.append((shown, file_path.read_text(encoding="utf-8")))
     units, findings = _parse_units(sources)
-    if interprocedural:
-        findings.extend(_graph_findings(units))
-    else:
-        for shown, tree in units:
-            for symbol, node in _iter_functions(tree):
-                findings.extend(apply_rules(scan_function(node, symbol), shown))
+    findings.extend(_graph_findings(units))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     result = baseline.apply(findings)
     if report_paths is not None:

@@ -1,7 +1,9 @@
 """Runtime FLOP/comm sanitizer: charged vs actually-executed.
 
-The static linter proves structure; this module proves *numbers*.  An
-:class:`AuditSession` runs a benchmark normally but
+This is the repo's one check that the charged counts cover the executed
+work: tier-1 (``tests/test_audit_pins.py``) audits every benchmark
+version and variant and compares each region's tallies with committed
+values.  An :class:`AuditSession` runs a benchmark normally but
 
 * re-views every ``DistArray`` payload as a thin ``np.ndarray``
   subclass whose ``__array_ufunc__`` shadow-counts the NumPy
@@ -32,7 +34,9 @@ Per region the audit then diffs, under the paper's FLOP weights:
 accounting bug — and drives the gated discrepancy ratio.
 **Under-execution** is reported per bucket: for fully-audited
 benchmarks it must be zero; for kernel-style benchmarks it shows up as
-the declared-kernel coverage note instead.
+the declared-kernel coverage note instead.  ``repro check audit`` gates
+over-execution (and, with ``--strict``, under-execution); the tier-1
+pins hold every per-region tally, observed moves included.
 """
 
 from __future__ import annotations
@@ -126,9 +130,9 @@ UFUNC_IGNORED = {
     "positive",
 }
 
-#: array functions counted as data movement (RC003's runtime twin).
-#: ``concatenate`` is here because ``repro.array.roll.fast_roll`` spells
-#: a circular shift as two slices + concatenate.
+#: array functions counted as data movement.  ``concatenate`` is here
+#: because ``repro.array.roll.fast_roll`` spells a circular shift as two
+#: slices + concatenate.
 MOVEMENT_FUNCS = {
     "roll",
     "concatenate",

@@ -53,12 +53,12 @@ Subcommands
     a baseline run or file, exiting non-zero on regression.  Run
     references accept unique id prefixes, ``latest`` and ``@N``.
 ``check``
-    Accounting verification (see ``docs/CHECKS.md``): ``check lint
-    [paths] --format text|json`` runs the static accounting linter
-    (rules RC001-RC006, baselined via ``.repro-check.toml``), and
-    ``check audit NAME --tolerance PCT`` runs one benchmark with
-    shadow-counted NumPy execution and diffs it against the charged
-    FLOPs and communication.
+    Source and accounting checks (see ``docs/CHECKS.md``): ``check lint
+    [paths] --format text|json|sarif`` runs the static linter (session
+    discipline, pattern conformance and the concurrency family,
+    baselined via ``.repro-check.toml``), and ``check audit NAME
+    --tolerance PCT`` runs one benchmark with shadow-counted NumPy
+    execution and diffs it against the charged FLOPs and communication.
 """
 
 from __future__ import annotations
@@ -911,10 +911,7 @@ def _cmd_check_lint(args) -> int:
             print("0 finding(s) (no changed python files)")
             return 0
     result = lint_paths(
-        paths,
-        baseline=baseline,
-        interprocedural=args.interprocedural,
-        report_paths=report_paths,
+        paths, baseline=baseline, report_paths=report_paths
     )
     if args.write_baseline:
         write_baseline(result.active, Path(args.write_baseline))
@@ -1562,15 +1559,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_checker = sub.add_parser(
         "check",
-        help="accounting linter (RC001-RC006) and runtime FLOP/comm "
+        help="static linter (RC004-RC104) and runtime FLOP/comm "
         "sanitizer",
     )
     sub_check = p_checker.add_subparsers(dest="check_command", required=True)
 
     p_lint = sub_check.add_parser(
         "lint",
-        help="static accounting linter over benchmark sources; exits "
-        "non-zero on non-baselined findings",
+        help="static linter over the repo sources; exits non-zero on "
+        "non-baselined findings",
     )
     p_lint.add_argument(
         "paths", nargs="*",
@@ -1584,16 +1581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument(
         "--baseline", metavar="PATH",
         help="suppression file (default: .repro-check.toml if present)",
-    )
-    p_lint.add_argument(
-        "--interprocedural", action="store_true", default=True,
-        help="build the whole-scope call graph so taint flows through "
-        "helpers and the RC008/RC1xx families run (default)",
-    )
-    p_lint.add_argument(
-        "--no-interprocedural", dest="interprocedural",
-        action="store_false",
-        help="per-function rules only (the pre-call-graph behaviour)",
     )
     p_lint.add_argument(
         "--changed", action="store_true",

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.engine.jobs import RunRequest
+from repro.engine.store import write_json_atomic
 
 
 @lru_cache(maxsize=1)
@@ -99,14 +100,7 @@ class ResultCache:
 
     def put(self, request: RunRequest, record: Dict) -> Path:
         """Store a result record atomically; returns the entry path."""
-        path = self._entry_path(request)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(record, sort_keys=True, indent=2), encoding="utf-8"
-        )
-        os.replace(tmp, path)
-        return path
+        return write_json_atomic(self._entry_path(request), record)
 
     def put_report(self, request: RunRequest, report: Dict, wall_time_s: float) -> Path:
         """Store one successful job's report as a result record."""

@@ -344,16 +344,27 @@ class Engine:
             self.progress(result)
 
     def _complete(self, finish: Finish) -> None:
-        """Turn a finished job into its result; cache a fresh report."""
+        """Turn a finished job into its result; cache a fresh report.
+
+        A failed cache write (a full disk) costs only the cache entry:
+        the job keeps its status, its error names the failed write, and
+        it is stored and announced like any other job.
+        """
         request = self._requests[finish.key]
         payload = finish.result or {}
         record = payload.get("report")
+        error = finish.error
+        if record is not None and self._cache is not None:
+            try:
+                self._cache.put_report(request, record, finish.wall_s)
+            except OSError as exc:
+                error = error or f"cache write failed: {exc}"
         result = RunResult(
             request=request,
             status=finish.status,
             report=None if record is None else report_from_dict(record),
             report_record=record,
-            error=finish.error,
+            error=error,
             attempts=finish.attempts,
             wall_time_s=finish.wall_s,
             index=finish.key,
@@ -361,8 +372,6 @@ class Engine:
             compute_time_s=finish.compute_s,
             spans=payload.get("spans"),
         )
-        if record is not None and self._cache is not None:
-            self._cache.put_report(request, record, finish.wall_s)
         self._results[finish.key] = result
         self._finish(request, result)
 

@@ -74,27 +74,19 @@ def _record(kind: str, seq: int, fields: Dict) -> Dict:
 
 
 class EventStream:
-    """Append-mode JSONL writer with per-event flush.
+    """Append-mode JSONL file sink of an :class:`EventFanout`.
 
-    The file is opened lazily on the first :meth:`emit`, so configuring
-    a stream costs nothing when no event is ever written.  Writers are
-    also usable as context managers.
+    Each record is flushed as it is written.  The file is opened lazily
+    on the first :meth:`write`, so configuring a stream costs nothing
+    when no event is ever written.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._fh = None
-        self._seq = 0
-
-    def emit(self, kind: str, **fields) -> Dict:
-        """Append one event line; returns the emitted record."""
-        record = _record(kind, self._seq, fields)
-        self._seq += 1
-        self.write(record)
-        return record
 
     def write(self, record: Dict) -> None:
-        """Write one already-built record (fan-out sink path)."""
+        """Append one record built by :meth:`EventFanout.emit`."""
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
@@ -106,12 +98,6 @@ class EventStream:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-    def __enter__(self) -> "EventStream":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 @dataclass

@@ -737,7 +737,10 @@ class ServeApp:
         """Persist a finished job, then release its waiters.
 
         Runs however the job ended, at shutdown too: riders of a job
-        that never reaches "done" would wait forever.
+        that never reaches "done" would wait forever.  A failed cache
+        write (a full disk) costs only the cache entry: the job keeps
+        its status, its error names the failed write, and it is still
+        stored, folded into the run's stats and announced.
         """
         config = self.config
         job = self.jobs[finish.key]
@@ -749,9 +752,12 @@ class ServeApp:
             job.report_record = finish.result["report"]
             job.spans = finish.result.get("spans")
         job.state = "done"
-        try:
-            if finish.result is not None and self.cache is not None:
+        if finish.result is not None and self.cache is not None:
+            try:
                 self.cache.put_report(job.request, job.report_record, finish.wall_s)
+            except OSError as exc:
+                job.error = job.error or f"cache write failed: {exc}"
+        try:
             self._record(job, queue_wait=finish.queue_wait_s, compute=finish.compute_s)
             if (
                 self.cache is not None

@@ -1,9 +1,9 @@
-"""Call-graph construction: resolution ladder, cycles, summaries.
+"""Call-graph construction: resolution ladder, cycles, thread targets.
 
 These tests pin the graph layer directly (no lint driver): which call
-expressions resolve to which qualnames, that the fixpoint terminates
-and propagates through cycles, and that the restricted dynamic-dispatch
-fallback refuses ambiguous vocabulary.
+expressions resolve to which qualnames, that mutual recursion builds
+both edges, and that the restricted dynamic-dispatch fallback refuses
+ambiguous vocabulary.
 """
 
 import ast
@@ -144,6 +144,20 @@ class TestResolution:
             """))
         assert edge_targets(graph, "m:bounce") == ["m:Pool.restart"]
 
+    def test_mutual_recursion_builds_both_edges(self):
+        graph = build(("m.py", """\
+            def ping(session, n):
+                if n:
+                    pong(session, n - 1)
+
+            def pong(session, n):
+                if n:
+                    ping(session, n - 1)
+                session.charge_elementwise(n)
+            """))
+        assert edge_targets(graph, "m:ping") == ["m:pong"]
+        assert edge_targets(graph, "m:pong") == ["m:ping"]
+
 
 class TestDynamicDispatchFallback:
     def test_unique_method_name_resolves(self):
@@ -235,82 +249,3 @@ class TestThreadTargets:
         fn = graph.functions["m:wake"]
         assert fn.thread_targets == []
         assert edge_targets(graph, "m:wake") == []
-
-
-class TestSummaries:
-    def test_charge_propagates_across_modules(self):
-        graph = build(
-            ("lib.py", """\
-                def commit(session, n):
-                    session.charge_elementwise(n)
-                """),
-            ("app.py", """\
-                from lib import commit
-
-                def run(session, n):
-                    commit(session, n)
-                """),
-        )
-        s = graph.summary("app:run")
-        assert s.charges_anything
-        assert s.charges_flops
-
-    def test_cycle_terminates_and_propagates(self):
-        graph = build(("m.py", """\
-            def ping(session, n):
-                if n:
-                    pong(session, n - 1)
-
-            def pong(session, n):
-                if n:
-                    ping(session, n - 1)
-                session.charge_elementwise(n)
-            """))
-        assert graph.summary("m:ping").charges_anything
-        assert graph.summary("m:pong").charges_anything
-        assert edge_targets(graph, "m:ping") == ["m:pong"]
-        assert edge_targets(graph, "m:pong") == ["m:ping"]
-
-    def test_param_compute_detected(self):
-        graph = build(("m.py", """\
-            def square(arr):
-                return arr * arr
-            """))
-        s = graph.summary("m:square")
-        assert s.computes_on_params
-        assert not s.charges_anything
-
-    def test_param_compute_chains_through_conduits(self):
-        # run hands its parameter straight to square: the compute
-        # evidence must surface on run's own summary
-        graph = build(("m.py", """\
-            def square(arr):
-                return arr * arr
-
-            def run(arr):
-                return square(arr)
-            """))
-        assert graph.summary("m:run").computes_on_params
-
-    def test_reference_functions_stay_exempt(self):
-        graph = build(("m.py", """\
-            def square(arr):
-                return arr * arr
-
-            def reference_step(arr):
-                return square(arr)
-            """))
-        assert not graph.summary("m:reference_step").computes_on_params
-
-    def test_annotate_writes_callee_flags(self):
-        graph = build(("m.py", """\
-            def commit(session, n):
-                session.charge_elementwise(n)
-
-            def run(session, n):
-                commit(session, n)
-            """))
-        graph.annotate()
-        facts = graph.functions["m:run"].facts
-        assert facts.callee_charges_anything
-        assert facts.callee_charges_flops

@@ -116,14 +116,14 @@ class TestCLI:
     def test_check_lint_flags_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(
-            "def leaky(a, session):\n"
-            "    raw = a.data\n"
-            "    return raw * 2.0 + raw\n"
+            "def timed(session):\n"
+            "    session.region('main')\n"
+            "    return session\n"
         )
         rc = main(["check", "lint", str(bad)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "RC001" in out
+        assert "RC004" in out
 
     def test_check_audit_diff1d_exits_zero(self, capsys):
         rc = main(["check", "audit", "diff-1d", "--tolerance", "0"])

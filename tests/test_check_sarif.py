@@ -16,11 +16,10 @@ from textwrap import dedent
 
 BAD = dedent(
     """\
-    import numpy as np
-
-    def leaky(a, session):
-        raw = a.data
-        out = raw * 2.0 + raw
+    def leaky(names, session):
+        out = []
+        for name in names:
+            out.append(run_benchmark(name, session))
         return out
     """
 )
@@ -29,7 +28,7 @@ BAD = dedent(
 def result_with_suppression():
     findings = lint_source(BAD, "pkg/fix.py")
     baseline = Baseline(suppressions=[Suppression(
-        code="RC001", path="pkg/fix.py", symbol="leaky", reason="test"
+        code="RC004", path="pkg/fix.py", symbol="leaky", reason="test"
     )])
     return findings, baseline.apply(findings)
 
@@ -55,12 +54,12 @@ class TestEmission:
         findings = lint_source(BAD, "pkg/fix.py")
         doc = to_sarif(Baseline(suppressions=[]).apply(findings))
         res = doc["runs"][0]["results"][0]
-        assert res["ruleId"] == "RC001"
+        assert res["ruleId"] == "RC004"
         assert res["level"] == "error"
         assert "[leaky]" in res["message"]["text"]
         loc = res["locations"][0]["physicalLocation"]
         assert loc["artifactLocation"]["uri"] == "pkg/fix.py"
-        assert loc["region"]["startLine"] == 5
+        assert loc["region"]["startLine"] == 4
         assert loc["region"]["startColumn"] >= 1  # SARIF is 1-based
         assert "suppressions" not in res
 

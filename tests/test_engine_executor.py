@@ -17,6 +17,7 @@ from repro.engine import (
     RunStore,
     plan_suite,
 )
+from repro.engine.cache import ResultCache
 from repro.engine.lifecycle import Finish, Lifecycle, Restart, Retry
 from repro.engine.pool import (
     ENV_FORCE_SERIAL,
@@ -28,7 +29,7 @@ from repro.engine.pool import (
 )
 from repro.metrics.serialize import canonical_report_json
 from repro.obs.stream import read_stream
-from repro.suite import run_suite
+from repro.suite import SMALL_PARAMS, run_suite
 
 # A small, fast, structurally diverse slice of the suite.
 SUBSET = ["fft", "lu", "ellip-2d", "gmo", "md"]
@@ -234,6 +235,41 @@ class TestIncrementalPersistence:
         # At the first job's completion exactly one record existed.
         assert seen[0] == ("fft", 1)
         assert seen[1] == ("lu", 2)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_cache_write_keeps_the_job(self, tmp_path, monkeypatch, jobs):
+        """A full disk costs one cache entry, not the run's results."""
+        put_report, written = ResultCache.put_report, []
+
+        def full_disk_on_third(self, request, record, wall_time_s):
+            written.append(request.benchmark)
+            if len(written) == 3:
+                raise OSError(28, "No space left on device")
+            return put_report(self, request, record, wall_time_s)
+
+        monkeypatch.setattr(ResultCache, "put_report", full_disk_on_third)
+        names = SUBSET + ["diff-1d", "n-body", "transpose"]
+        requests = plan_suite(names, params=SMALL_PARAMS)
+        store_path, cache = tmp_path / "runs.jsonl", tmp_path / "cache"
+        config = EngineConfig(jobs=jobs, store=store_path, cache_dir=cache)
+        results = Engine(config).run(requests)
+        assert [r.status for r in results] == ["ok"] * 8
+        unwritten = written[2]
+        for result in results:
+            if result.request.benchmark == unwritten:
+                assert result.error.startswith("cache write failed")
+                assert "No space left" in result.error
+            else:
+                assert result.error == ""
+        records = RunStore(store_path).records()
+        assert sorted(r["benchmark"] for r in records) == sorted(names)
+        assert {r["benchmark"] for r in records if r["error"]} == {unwritten}
+        monkeypatch.setattr(ResultCache, "put_report", put_report)
+        rerun = Engine(EngineConfig(cache_dir=cache)).run(requests)
+        assert {r.request.benchmark for r in rerun if r.status == "ok"} == {
+            unwritten
+        }
+        assert sum(r.status == "cached" for r in rerun) == 7
 
     def test_pool_records_carry_plan_order_index(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"

@@ -612,6 +612,34 @@ class TestPersistence:
         run_id = ServeClient(host, port).health()["run_id"]
         assert all(r["run_id"] == run_id for r in records)
 
+    def test_failed_cache_write_still_records_the_job(self, tmp_path):
+        """A full disk costs the cache entry; the job is still stored,
+        folded into the run's stats and announced."""
+        from repro.engine import open_store
+
+        stream = tmp_path / "events.jsonl"
+        thread = ServerThread(ServeConfig(
+            port=0, workers=1, warmup=False, timeout=120,
+            cache_dir=str(tmp_path / "cache"), store=str(tmp_path / "runs"),
+            stream=str(stream),
+        ))
+
+        def full_disk(request, record, wall_time_s):
+            raise OSError(28, "No space left on device")
+
+        thread.app.cache.put_report = full_disk
+        with thread as (host, port):
+            job = ServeClient(host, port).submit(SMALL)["job"]
+        assert job["status"] == "ok"
+        assert job["error"].startswith("cache write failed")
+        assert thread.app._stats_acc.n_jobs == 1
+        (record,) = open_store(tmp_path / "runs").records()
+        assert record["status"] == "ok"
+        assert record["error"] == job["error"]
+        assert [e["kind"] for e in read_stream(stream)] == [
+            "run_started", "job_started", "job_finished", "run_finished",
+        ]
+
     def test_store_readable_by_engine_cli_layer(self, server):
         host, port, tmp = server
         from repro.engine import open_store
