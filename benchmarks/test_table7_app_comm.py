@@ -1,49 +1,14 @@
 """Table 7: communication patterns in the application codes.
 
-Regenerates the pattern-by-rank classification and validates per
-application that the measured communication inventory matches the
-registry's Table-7 metadata.
+Regenerates the pattern-by-rank classification.  Each run's recorded
+inventory is checked against the registry's Table-7 metadata in
+tier-1, for every benchmark version and variant
+(``tests/test_comm_inventory.py``).
 """
 
-import pytest
-
-from repro import Session, cm5
-from repro.suite import REGISTRY, benchmark_names, run_benchmark
 from repro.suite.tables import table7_comm
 
 from conftest import save_table
-
-PARAMS = {
-    "boson": {"nx": 6, "nt": 4, "sweeps": 2},
-    "diff-1d": {"nx": 32, "steps": 2},
-    "diff-2d": {"nx": 16, "steps": 2},
-    "diff-3d": {"nx": 8, "steps": 2},
-    "ellip-2d": {"nx": 8},
-    "fem-3d": {"nx": 2, "iterations": 4},
-    "fermion": {"sites": 8, "n": 4, "sweeps": 2},
-    "gmo": {"ns": 64, "ntr": 8},
-    "ks-spectral": {"nx": 32, "ne": 2, "steps": 2},
-    "md": {"n_p": 8, "steps": 2},
-    "mdcell": {"nc": 3, "steps": 1},
-    "n-body": {"n": 12, "variant": "spread"},
-    "pic-simple": {"nx": 8, "n_p": 64, "steps": 1},
-    "pic-gather-scatter": {"nx": 8, "n_p": 32, "steps": 1},
-    "qcd-kernel": {"nx": 2, "iterations": 1},
-    "qmc": {"blocks": 1, "steps_per_block": 5, "n_w": 40},
-    "qptransport": {"iterations": 4},
-    "rp": {"nx": 4},
-    "step4": {"nx": 8, "steps": 1},
-    "wave-1d": {"nx": 32, "steps": 2},
-}
-
-def implementation_extras(name):
-    """Documented beyond-Table-7 patterns, from the registry.
-
-    The whitelist used to live in this file; it is now the
-    ``comm_extras`` field of each :class:`BenchmarkSpec`, shared with
-    the static RC008 pattern-conformance rule (``repro check lint``).
-    """
-    return set(REGISTRY[name].comm_extras)
 
 
 def test_table7_regeneration(benchmark, output_dir):
@@ -51,32 +16,3 @@ def test_table7_regeneration(benchmark, output_dir):
     save_table(output_dir, "table7_app_comm", text)
     for pattern in ("cshift", "scan", "sort", "scatter"):
         assert pattern in text
-
-
-@pytest.mark.parametrize("name", sorted(PARAMS))
-def test_measured_inventory_vs_registry(benchmark, name):
-    def run():
-        session = Session(cm5(32))
-        run_benchmark(name, session, **PARAMS[name])
-        return set(session.recorder.root.comm_counts())
-
-    measured = benchmark(run)
-    declared = set(REGISTRY[name].comm_patterns)
-    allowed = declared | implementation_extras(name)
-    unexpected = measured - allowed
-    assert not unexpected, (
-        f"{name}: patterns {sorted(p.value for p in unexpected)} not in "
-        "Table 7 or the documented extras"
-    )
-    # All declared patterns must actually occur (for benchmarks whose
-    # declared set is parameter-independent).
-    missing = declared - measured
-    assert not missing or name == "n-body", (
-        f"{name}: declared patterns never observed: "
-        f"{sorted(p.value for p in missing)}"
-    )
-
-
-def test_every_app_covered(benchmark):
-    benchmark(lambda: None)
-    assert set(PARAMS) == set(benchmark_names("app"))

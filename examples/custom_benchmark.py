@@ -37,7 +37,7 @@ def smooth_relax(session, nx: int = 32, sweeps: int = 20, seed: int = 0):
 
     res = np.inf
     with session.region("main_loop", iterations=sweeps):
-        for _ in range(sweeps):
+        for _ in session.iterations(range(sweeps)):
             for mask in (red, black):
                 neigh = (
                     cshift(u, 1, 0) + cshift(u, -1, 0)

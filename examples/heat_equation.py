@@ -33,7 +33,7 @@ def explicit_cshift(session: Session, n: int, steps: int, r: float):
     """u' = u + r * laplacian(u) with four explicit cshifts."""
     u = from_numpy(session, initial_field(n), "(:,:)")
     with session.region("main_loop", iterations=steps):
-        for _ in range(steps):
+        for _ in session.iterations(range(steps)):
             lap = (
                 cshift(u, 1, 0) + cshift(u, -1, 0)
                 + cshift(u, 1, 1) + cshift(u, -1, 1)
@@ -50,7 +50,7 @@ def explicit_stencil(session: Session, n: int, steps: int, r: float):
         (1, 0): r, (-1, 0): r, (0, 1): r, (0, -1): r, (0, 0): 1.0 - 4.0 * r,
     }
     with session.region("main_loop", iterations=steps):
-        for _ in range(steps):
+        for _ in session.iterations(range(steps)):
             u = stencil_apply(u, taps)
     return u
 

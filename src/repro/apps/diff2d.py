@@ -68,20 +68,19 @@ def run(
 
     initial = float(np.abs(u.np).max())
     with session.region("main_loop", iterations=steps):
-        for step in range(steps):
-            with session.iteration(step):
-                # Explicit 3-point stencil along the parallel axis.
-                um, uc, up = stencil_shifts(u, [(0, -1), (0, 0), (0, 1)])
-                scale = 0.5 * r
-                rhs = uc + scale * (um - 2.0 * uc + up)
-                # Implicit Thomas sweeps along the serial axis.
-                ux = _thomas_local(session, rhs.data, r, layout)
-                # AAPC: rotate sweep direction for the next half-step.  The
-                # transposed data keeps the fixed (:serial,:) distribution —
-                # that data motion is exactly why this is an AAPC.
-                u = transpose(
-                    DistArray(ux, layout, session, "u")
-                ).relabel("(:serial,:)")
+        for _ in session.iterations(range(steps)):
+            # Explicit 3-point stencil along the parallel axis.
+            um, uc, up = stencil_shifts(u, [(0, -1), (0, 0), (0, 1)])
+            scale = 0.5 * r
+            rhs = uc + scale * (um - 2.0 * uc + up)
+            # Implicit Thomas sweeps along the serial axis.
+            ux = _thomas_local(session, rhs.data, r, layout)
+            # AAPC: rotate sweep direction for the next half-step.  The
+            # transposed data keeps the fixed (:serial,:) distribution —
+            # that data motion is exactly why this is an AAPC.
+            u = transpose(
+                DistArray(ux, layout, session, "u")
+            ).relabel("(:serial,:)")
     final = float(np.abs(u.np).max())
     lam = 2.0 * (np.cos(2 * np.pi / nx) - 1.0)
     g_half = (1.0 + 0.5 * r * lam) / (1.0 - 0.5 * r * lam)

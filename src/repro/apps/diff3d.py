@@ -74,39 +74,38 @@ def run(
     work = np.empty_like(neigh)
     nxt = np.empty_like(u)
     with session.region("main_loop", iterations=steps):
-        for step in range(steps):
-            with session.iteration(step):
-                d = field.data
-                c = d[1:-1, 1:-1, 1:-1]
-                np.add(d[:-2, 1:-1, 1:-1], d[2:, 1:-1, 1:-1], out=neigh)
-                np.add(neigh, d[1:-1, :-2, 1:-1], out=neigh)
-                np.add(neigh, d[1:-1, 2:, 1:-1], out=neigh)
-                np.add(neigh, d[1:-1, 1:-1, :-2], out=neigh)
-                np.add(neigh, d[1:-1, 1:-1, 2:], out=neigh)
-                np.copyto(nxt, d)
-                if naive:
-                    # Unfactored form: 7 multiplies + 6 adds per interior
-                    # point (13 FLOPs) for the identical update.
-                    nxt[1:-1, 1:-1, 1:-1] = (1.0 - 6.0 * r) * c + r * neigh
-                    session.charge_kernel(13 * interior, layout=layout)
-                else:
-                    # u' = u + r * (neigh - 6u), fused into the buffer.
-                    np.multiply(c, 6.0, out=work)
-                    np.subtract(neigh, work, out=work)
-                    np.multiply(work, r, out=work)
-                    np.add(c, work, out=nxt[1:-1, 1:-1, 1:-1])
-                    # Exactly 9 FLOPs per interior point (Table 6).
-                    session.charge_kernel(9 * interior, layout=layout)
-                # One 7-point stencil: six surface exchanges pipelined.
-                session.record_comm(
-                    CommPattern.STENCIL,
-                    bytes_network=net,
-                    bytes_local=bytes_local,
-                    rank=3,
-                    stages=6,
-                    detail="7-point",
-                )
-                field, nxt = DistArray(nxt, layout, session, "u"), d
+        for _ in session.iterations(range(steps)):
+            d = field.data
+            c = d[1:-1, 1:-1, 1:-1]
+            np.add(d[:-2, 1:-1, 1:-1], d[2:, 1:-1, 1:-1], out=neigh)
+            np.add(neigh, d[1:-1, :-2, 1:-1], out=neigh)
+            np.add(neigh, d[1:-1, 2:, 1:-1], out=neigh)
+            np.add(neigh, d[1:-1, 1:-1, :-2], out=neigh)
+            np.add(neigh, d[1:-1, 1:-1, 2:], out=neigh)
+            np.copyto(nxt, d)
+            if naive:
+                # Unfactored form: 7 multiplies + 6 adds per interior
+                # point (13 FLOPs) for the identical update.
+                nxt[1:-1, 1:-1, 1:-1] = (1.0 - 6.0 * r) * c + r * neigh
+                session.charge_kernel(13 * interior, layout=layout)
+            else:
+                # u' = u + r * (neigh - 6u), fused into the buffer.
+                np.multiply(c, 6.0, out=work)
+                np.subtract(neigh, work, out=work)
+                np.multiply(work, r, out=work)
+                np.add(c, work, out=nxt[1:-1, 1:-1, 1:-1])
+                # Exactly 9 FLOPs per interior point (Table 6).
+                session.charge_kernel(9 * interior, layout=layout)
+            # One 7-point stencil: six surface exchanges pipelined.
+            session.record_comm(
+                CommPattern.STENCIL,
+                bytes_network=net,
+                bytes_local=bytes_local,
+                rank=3,
+                stages=6,
+                detail="7-point",
+            )
+            field, nxt = DistArray(nxt, layout, session, "u"), d
     final = field.np
     return AppResult(
         name="diff-3d",

@@ -222,23 +222,22 @@ def run(
         )
         scratch = tuple(np.empty(m_pad) for _ in range(6))
         with session.region("main_loop", iterations=steps):
-            for step in range(steps):
-                with session.iteration(step):
-                    xt = fast_roll(xt, 1)
-                    yt = fast_roll(yt, 1)
-                    mt = fast_roll(mt, 1)
-                    for name in ("x", "y", "m"):
-                        session.record_comm(
-                            CommPattern.CSHIFT,
-                            bytes_network=shift_bytes,
-                            bytes_local=m_pad * itemsize,
-                            rank=1,
-                            detail=f"travelling {name}",
-                        )
-                    gx, gy = _pair_forces(xw, yw, xt, yt, mt, scratch)
-                    fx += gx
-                    fy += gy
-                    session.charge_kernel(17 * m_pad, layout=layout1)
+            for _ in session.iterations(range(steps)):
+                xt = fast_roll(xt, 1)
+                yt = fast_roll(yt, 1)
+                mt = fast_roll(mt, 1)
+                for name in ("x", "y", "m"):
+                    session.record_comm(
+                        CommPattern.CSHIFT,
+                        bytes_network=shift_bytes,
+                        bytes_local=m_pad * itemsize,
+                        rank=1,
+                        detail=f"travelling {name}",
+                    )
+                gx, gy = _pair_forces(xw, yw, xt, yt, mt, scratch)
+                fx += gx
+                fy += gy
+                session.charge_kernel(17 * m_pad, layout=layout1)
         iterations = steps
     else:  # cshift_sym / cshift_sym_fill
         # Newton's third law: only half the systolic steps; each step
@@ -255,36 +254,35 @@ def run(
         )
         scratch = tuple(np.empty(m_pad) for _ in range(6))
         with session.region("main_loop", iterations=steps):
-            for step in range(1, steps + 1):
-                with session.iteration(step):
-                    xt = fast_roll(xt, 1)
-                    yt = fast_roll(yt, 1)
-                    mt = fast_roll(mt, 1)
-                    ft_x = fast_roll(ft_x, 1)
-                    ft_y = fast_roll(ft_y, 1)
-                    n_shift = (
-                        3 if variant == "cshift_sym" else (2 if step % 2 else 3)
+            for step in session.iterations(range(1, steps + 1)):
+                xt = fast_roll(xt, 1)
+                yt = fast_roll(yt, 1)
+                mt = fast_roll(mt, 1)
+                ft_x = fast_roll(ft_x, 1)
+                ft_y = fast_roll(ft_y, 1)
+                n_shift = (
+                    3 if variant == "cshift_sym" else (2 if step % 2 else 3)
+                )
+                for _k in range(n_shift):
+                    session.record_comm(
+                        CommPattern.CSHIFT,
+                        bytes_network=shift_bytes,
+                        bytes_local=m_pad * itemsize,
+                        rank=1,
+                        detail="travelling state",
                     )
-                    for _k in range(n_shift):
-                        session.record_comm(
-                            CommPattern.CSHIFT,
-                            bytes_network=shift_bytes,
-                            bytes_local=m_pad * itemsize,
-                            rank=1,
-                            detail="travelling state",
-                        )
-                    gx, gy = _pair_forces(xw, yw, xt, yt, mt, scratch)
-                    # On the final step of an even ring, each pair appears
-                    # twice (i sees j and j sees i); halve to avoid double
-                    # counting when folding back.
-                    scale = 0.5 if (step == steps and m_pad % 2 == 0) else 1.0
-                    fx += scale * gx
-                    fy += scale * gy
-                    # Reaction on the travelling copies (Newton's 3rd law):
-                    w_mass = np.where(mt > 0, mw / np.where(mt > 0, mt, 1.0), 0.0)
-                    ft_x += scale * (-gx) * w_mass
-                    ft_y += scale * (-gy) * w_mass
-                    session.charge_kernel(round(13.5 * m_pad), layout=layout1)
+                gx, gy = _pair_forces(xw, yw, xt, yt, mt, scratch)
+                # On the final step of an even ring, each pair appears
+                # twice (i sees j and j sees i); halve to avoid double
+                # counting when folding back.
+                scale = 0.5 if (step == steps and m_pad % 2 == 0) else 1.0
+                fx += scale * gx
+                fy += scale * gy
+                # Reaction on the travelling copies (Newton's 3rd law):
+                w_mass = np.where(mt > 0, mw / np.where(mt > 0, mt, 1.0), 0.0)
+                ft_x += scale * (-gx) * w_mass
+                ft_y += scale * (-gy) * w_mass
+                session.charge_kernel(round(13.5 * m_pad), layout=layout1)
             # Return travelling force arrays to their home positions.
             ft_x = fast_roll(ft_x, -steps)
             ft_y = fast_roll(ft_y, -steps)

@@ -16,13 +16,18 @@ report.  This package has two layers:
   (``tests/test_audit_pins.py``), so an uncharged operation or an
   unrecorded move fails a test.
 * :mod:`repro.check.lint` — a static AST linter, run over the
-  benchmark, collective-library and serving sources through a
-  module-level call graph (:mod:`repro.check.callgraph`): session
-  discipline rules RC004 and RC006 (session misuse, dangling spans),
-  RC008 communication-pattern conformance against the registry
-  (:mod:`repro.check.inventory`), and the RC101-RC104 concurrency
+  serving, engine and benchmark sources through a module-level call
+  graph (:mod:`repro.check.callgraph`): the RC101-RC104 concurrency
   family for the async serving stack (:mod:`repro.check.concurrency`).
   Results export to SARIF 2.1.0 (:mod:`repro.check.sarif`).
+
+Session discipline, iteration markers and the communication-pattern
+inventory are checked at run time instead: ``run_benchmark`` refuses a
+reused session, the tier-1 report digests and audit pins fail when a
+region is never entered, iteration markers come from the
+``Session.iterations`` iterator (there is no marker to leave
+unentered), and tier-1 checks every run's recorded patterns against
+the registry (``tests/test_comm_inventory.py``).
 
 Pre-existing lint findings can be suppressed — with justification — in
 a :mod:`baseline file <repro.check.baseline>` (``.repro-check.toml``).
@@ -34,13 +39,11 @@ from repro.check.baseline import Baseline, Suppression, load_baseline
 from repro.check.callgraph import CallGraph
 from repro.check.concurrency import concurrency_findings
 from repro.check.findings import Finding, findings_to_json, format_findings
-from repro.check.inventory import AppInventory, inventory_findings
 from repro.check.lint import lint_paths, lint_source, lint_sources
 from repro.check.sanitizer import AuditReport, AuditSession, audit_benchmark
 from repro.check.sarif import sarif_to_json, to_sarif, validate_sarif
 
 __all__ = [
-    "AppInventory",
     "AuditReport",
     "AuditSession",
     "Baseline",
@@ -51,7 +54,6 @@ __all__ = [
     "concurrency_findings",
     "findings_to_json",
     "format_findings",
-    "inventory_findings",
     "lint_paths",
     "lint_source",
     "lint_sources",

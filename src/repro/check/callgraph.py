@@ -2,9 +2,9 @@
 
 The graph is built once per lint run over every file in scope:
 
-* each module is parsed and every function scanned once with
-  :func:`repro.check.rules.scan_function`, which records its call
-  sites;
+* each module is parsed and every function's own body scanned once
+  for its call sites (:func:`scan_calls`; nested functions get their
+  own scan);
 * call edges are resolved through imports (``from x import f``,
   ``import x as a``), same-module names, ``self.method`` dispatch,
   constructor-inferred attribute/local types (``self.pool =
@@ -16,9 +16,9 @@ The graph is built once per lint run over every file in scope:
   kept separately as thread entries — they are not call edges, because
   the registering function never runs them in its own context.
 
-Consumers: :mod:`repro.check.concurrency` (RC101-RC104) and
-:mod:`repro.check.inventory` (RC008) run their own analyses over the
-edges.  See docs/CHECKS.md ("The call graph").
+The consumer is :mod:`repro.check.concurrency` (RC101-RC104), which
+runs its analyses over the edges.  See docs/CHECKS.md ("The call
+graph").
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.check.rules import FunctionFacts, RawCall, scan_function
 
 #: Method names never resolved through the unique-name fallback: they
 #: collide with builtin container/string/file/concurrency vocabulary,
@@ -70,6 +69,76 @@ THREAD_REGISTRARS = {
 #: RC102 endorses).
 LOOP_REGISTRARS = {"call_soon_threadsafe", "call_soon", "call_later",
                    "call_at"}
+
+
+def call_name(func: ast.expr) -> Tuple[Optional[str], Optional[str]]:
+    """Resolve a call target to ``(module_or_receiver, name)``.
+
+    ``np.sqrt`` -> ("np", "sqrt"); ``sqrt`` -> (None, "sqrt");
+    ``x.sqrt`` -> ("<attr>", "sqrt"); ``np.fft.fft`` -> ("np.fft", "fft").
+    """
+    if isinstance(func, ast.Name):
+        return None, func.id
+    if isinstance(func, ast.Attribute):
+        value = func.value
+        if isinstance(value, ast.Name):
+            return value.id, func.attr
+        if isinstance(value, ast.Attribute) and isinstance(
+            value.value, ast.Name
+        ):
+            return f"{value.value.id}.{value.attr}", func.attr
+        return "<attr>", func.attr
+    return None, None
+
+
+@dataclass
+class RawCall:
+    """One call site of a function, before resolution.
+
+    ``recv``/``name`` are the :func:`call_name` decomposition.  The
+    AST nodes are kept so resolution can follow deep attribute chains
+    and keyword arguments.
+    """
+
+    recv: Optional[str]
+    name: Optional[str]
+    line: int
+    col: int
+    func: ast.expr
+    call: ast.Call
+
+
+class _CallScanner(ast.NodeVisitor):
+    """Collects a body's call sites in evaluation order."""
+
+    def __init__(self) -> None:
+        self.calls: List[RawCall] = []
+
+    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
+        pass  # nested functions get their own scan
+
+    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
+    visit_Lambda = visit_FunctionDef  # type: ignore[assignment]
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        self.visit(node.value)  # the value is evaluated before the targets
+        for target in node.targets:
+            self.visit(target)
+
+    def visit_Call(self, node: ast.Call) -> None:
+        recv, name = call_name(node.func)
+        self.calls.append(RawCall(
+            recv, name, node.lineno, node.col_offset, node.func, node,
+        ))
+        self.generic_visit(node)
+
+
+def scan_calls(node: ast.AST) -> List[RawCall]:
+    """Call sites of one function (or module) body, nested defs excluded."""
+    scanner = _CallScanner()
+    for stmt in getattr(node, "body", [node]):
+        scanner.visit(stmt)
+    return scanner.calls
 
 
 @dataclass
@@ -118,7 +187,8 @@ class FunctionNode:
     node: ast.AST
     is_async: bool
     class_name: Optional[str]
-    facts: FunctionFacts
+    #: the body's own call sites (:func:`scan_calls`)
+    calls: List[RawCall]
     resolved: List[ResolvedCall] = field(default_factory=list)
     thread_targets: List[ThreadTarget] = field(default_factory=list)
 
@@ -243,7 +313,7 @@ class CallGraph:
                 node=node,
                 is_async=isinstance(node, ast.AsyncFunctionDef),
                 class_name=class_name,
-                facts=scan_function(node, symbol),
+                calls=scan_calls(node),
             )
             mod.functions[symbol] = fn
             self.functions[qualname] = fn
@@ -439,8 +509,7 @@ class CallGraph:
 
     def _resolve_calls(self, fn: FunctionNode) -> None:
         local_types = self._local_types(fn)
-        for rc in fn.facts.calls:
-            assert isinstance(rc, RawCall)
+        for rc in fn.calls:
             if rc.name in LOOP_REGISTRARS:
                 continue
             if rc.name in THREAD_REGISTRARS and not (

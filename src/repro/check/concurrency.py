@@ -42,9 +42,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from repro.check.callgraph import CallGraph, FunctionNode
+from repro.check.callgraph import CallGraph, FunctionNode, call_name
 from repro.check.findings import Finding
-from repro.check.rules import _call_name
 
 #: threading-module constructors whose instances block the caller.
 THREAD_LOCK_CTORS = {
@@ -115,7 +114,7 @@ class ConcFacts:
 
 def _ctor_kind(call: ast.Call) -> Optional[str]:
     """Classify a constructor call: tlock / alock / aobj / loop."""
-    recv, name = _call_name(call.func)
+    recv, name = call_name(call.func)
     if name is None:
         return None
     if recv == "threading" and name in THREAD_LOCK_CTORS:
@@ -272,7 +271,7 @@ class _ConcScanner:
             if isinstance(expr, ast.Attribute):
                 return f"{mod}:{cls}.{expr.attr}"
         if isinstance(expr, ast.Call):
-            _, name = _call_name(expr.func)
+            _, name = call_name(expr.func)
             if name and any(t in name.lower() for t in LOCKISH_TOKENS):
                 owner = cls or self.fn.symbol
                 return f"{mod}:{owner}.{name}()"
@@ -280,7 +279,7 @@ class _ConcScanner:
 
     # -- evidence --------------------------------------------------------
     def _blocking_kind(self, call: ast.Call) -> Optional[str]:
-        recv, name = _call_name(call.func)
+        recv, name = call_name(call.func)
         if name is None:
             return None
         pos = (call.lineno, call.col_offset)
@@ -350,7 +349,7 @@ class _ConcScanner:
     def _process_call(
         self, call: ast.Call, held: Tuple[str, ...]
     ) -> None:
-        recv, name = _call_name(call.func)
+        recv, name = call_name(call.func)
         kind = self._blocking_kind(call)
         if kind:
             self.facts.blocking.append(_BlockSite(
@@ -420,7 +419,7 @@ class _ConcScanner:
             if kind:
                 self.local[name] = kind
                 return
-            _, cname = _call_name(stmt.value.func)
+            _, cname = call_name(stmt.value.func)
             if cname == "submit":
                 self.local[name] = "future"
 

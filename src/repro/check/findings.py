@@ -10,14 +10,6 @@ from typing import Dict, List, Sequence
 #: lives in docs/CHECKS.md).
 RULES: Dict[str, str] = {
     "RC000": "source does not parse: nothing else can be checked",
-    "RC004": "session misuse: reused session, or region not used as a "
-    "context manager",
-    "RC006": "dangling span: session.iteration(...) never entered "
-    "with 'with', or an iteration span opened outside the function's "
-    "own region scope",
-    "RC008": "pattern conformance: the communication patterns "
-    "statically reachable from an app runner disagree with the "
-    "registry's declared comm_patterns/comm_extras inventory",
     "RC101": "blocking call in async code: a coroutine (or sync code "
     "it calls without an executor hop) sleeps, locks, or does file "
     "I/O on the event loop thread",

@@ -1,13 +1,11 @@
 """Lint driver: walk sources, build the call graph, apply the rules.
 
 Every entry point builds one call graph over its sources and runs the
-per-function rules (RC004, RC006), RC008 and the RC1xx concurrency
-family through it:
+RC1xx concurrency family through it:
 
 * :func:`lint_source` — lint one source string (used by tests).
 * :func:`lint_sources` — lint several named source strings through one
-  shared call graph (cross-module fixtures, RC008 with hand-built
-  inventories).
+  shared call graph (cross-module fixtures).
 * :func:`lint_paths` — lint files/directories through the repo-wide
   call graph, apply the baseline, and return a
   :class:`~repro.check.findings.LintResult`.  ``report_paths``
@@ -25,8 +23,6 @@ from repro.check.baseline import Baseline, load_baseline
 from repro.check.callgraph import CallGraph
 from repro.check.concurrency import concurrency_findings
 from repro.check.findings import Finding, LintResult
-from repro.check.inventory import AppInventory, inventory_findings
-from repro.check.rules import apply_rules
 
 #: Directories never linted (fixtures with intentionally bad code live
 #: under tests/).
@@ -56,44 +52,15 @@ def _parse_units(
     return units, findings
 
 
-def _graph_findings(
-    units: Sequence[Tuple[str, ast.Module]],
-    *,
-    inventories: Optional[Sequence[AppInventory]] = None,
-    with_inventory: bool = True,
-) -> List[Finding]:
-    """All findings for a unit set through one shared call graph."""
-    graph = CallGraph.build(units)
-    findings: List[Finding] = []
-    for fn in graph.functions.values():
-        findings.extend(apply_rules(fn.facts, fn.path))
-    findings.extend(concurrency_findings(graph))
-    if with_inventory:
-        findings.extend(inventory_findings(graph, inventories))
-    return findings
-
-
 def lint_source(source: str, path: str = "<string>") -> List[Finding]:
     """Lint one source string; returns raw findings (no baseline)."""
     return lint_sources([(path, source)])
 
 
-def lint_sources(
-    sources: Sequence[Tuple[str, str]],
-    *,
-    inventories: Optional[Sequence[AppInventory]] = None,
-) -> List[Finding]:
-    """Lint named source strings through one shared call graph.
-
-    RC008 runs only when ``inventories`` is passed explicitly —
-    fixture sources have no registry entries to diff against.
-    """
+def lint_sources(sources: Sequence[Tuple[str, str]]) -> List[Finding]:
+    """Lint named source strings through one shared call graph."""
     units, findings = _parse_units(sources)
-    findings.extend(_graph_findings(
-        units,
-        inventories=inventories,
-        with_inventory=inventories is not None,
-    ))
+    findings.extend(concurrency_findings(CallGraph.build(units)))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings
 
@@ -140,10 +107,7 @@ def lint_paths(
         except ValueError:
             shown = str(file_path)
         sources.append((shown, file_path.read_text(encoding="utf-8")))
-    units, findings = _parse_units(sources)
-    findings.extend(_graph_findings(units))
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    result = baseline.apply(findings)
+    result = baseline.apply(lint_sources(sources))
     if report_paths is not None:
         shown_set: Set[str] = {str(p) for p in report_paths}
         result = LintResult(

@@ -1559,7 +1559,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_checker = sub.add_parser(
         "check",
-        help="static linter (RC004-RC104) and runtime FLOP/comm "
+        help="concurrency linter (RC101-RC104) and runtime FLOP/comm "
         "sanitizer",
     )
     sub_check = p_checker.add_subparsers(dest="check_command", required=True)

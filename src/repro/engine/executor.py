@@ -37,6 +37,7 @@ workers instead of paying spawn + import per suite.
 from __future__ import annotations
 
 import concurrent.futures as cf
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -150,16 +151,6 @@ class EngineConfig:
     stream: Optional[Union[str, Path]] = None
     #: collect per-job span summaries (repro.obs) into the stats sidecar
     spans: bool = False
-    #: most members one batch may carry (pool mode packs small
-    #: first-attempt jobs into one worker submission; per-job results,
-    #: cache entries, retries and timeouts keep request granularity);
-    #: 32 amortizes dispatch to ~85 us/member on micro-job floods while
-    #: keeping a failed batch's solo-requeue cost bounded
-    batch_max: int = 32
-    #: target summed compute-seconds per batch; jobs whose EWMA
-    #: estimate exceeds half this always ship alone (protects the
-    #: heavy subset from queueing behind batch siblings)
-    batch_target_s: float = 0.25
 
     @property
     def collect_spans(self) -> bool:
@@ -288,8 +279,17 @@ class Engine:
             if pruned:
                 stats.phases["cache_pruned_files"] = float(pruned)
             self.last_run_stats = stats
-            if store is not None:
-                store.write_stats(run_id, stats.to_dict())
+            # as in ServeApp._finalize, a failed sidecar write costs only
+            # the sidecar: `engine stats` recomputes the run from its
+            # store records, and the run still finishes and returns
+            try:
+                if store is not None:
+                    store.write_stats(run_id, stats.to_dict())
+            except OSError as exc:
+                print(
+                    f"repro engine: stats sidecar not written: {exc}",
+                    file=sys.stderr,
+                )
             counts = {s: 0 for s in STATUSES}
             for result in final:
                 counts[result.status] += 1
@@ -467,8 +467,6 @@ class Engine:
             backoff=config.backoff,
             timeout=config.timeout,
             estimate=lambda index: pool.estimate(requests[index].benchmark),
-            batch_max=config.batch_max,
-            batch_target_s=config.batch_target_s,
         )
         now = time.perf_counter()
         for index in indices:

@@ -73,25 +73,28 @@ def cg_tridiagonal(
     it = 0
     res = float(np.sqrt(reduce_array(r * r, "sum")))
     with session.region("main_loop", iterations=1) as region:
-        while it < max_iter and res > tol:
-            with session.iteration(it):
-                q = _apply(lower, diag, upper, p)  # 2 CSHIFTs, 5n FLOPs
-                qq = reduce_array(q * q, "sum")  # Reduction 1
-                if qq == 0.0:
-                    break
-                alpha = gamma / qq
-                session.recorder.charge_flops(FlopKind.DIV, 1)
-                x += alpha * p
-                r -= alpha * q
-                s = _apply(upper, diag, lower, r)  # 2 CSHIFTs
-                gamma_new = reduce_array(s * s, "sum")  # Reduction 2
-                beta = gamma_new / gamma if gamma else 0.0
-                session.recorder.charge_flops(FlopKind.DIV, 1)
-                p = s + beta * p
-                gamma = gamma_new
-                res = float(np.sqrt(reduce_array(r * r, "sum")))  # Reduction 3
-                session.recorder.charge_flops(FlopKind.SQRT, 1)
-                it += 1
+        # The convergence test closes each trip, so every marked trip
+        # runs; an already converged start runs none.
+        for trip in session.iterations(range(max_iter if res > tol else 0)):
+            q = _apply(lower, diag, upper, p)  # 2 CSHIFTs, 5n FLOPs
+            qq = reduce_array(q * q, "sum")  # Reduction 1
+            if qq == 0.0:
+                break
+            alpha = gamma / qq
+            session.recorder.charge_flops(FlopKind.DIV, 1)
+            x += alpha * p
+            r -= alpha * q
+            s = _apply(upper, diag, lower, r)  # 2 CSHIFTs
+            gamma_new = reduce_array(s * s, "sum")  # Reduction 2
+            beta = gamma_new / gamma if gamma else 0.0
+            session.recorder.charge_flops(FlopKind.DIV, 1)
+            p = s + beta * p
+            gamma = gamma_new
+            res = float(np.sqrt(reduce_array(r * r, "sum")))  # Reduction 3
+            session.recorder.charge_flops(FlopKind.SQRT, 1)
+            it = trip + 1
+            if not res > tol:
+                break
         region.iterations = max(1, it)
     return CGResult(x=x, iterations=it, residual_norm=res)
 

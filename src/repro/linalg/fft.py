@@ -95,26 +95,25 @@ def _fft_axis(x: DistArray, axis: int, inverse: bool) -> DistArray:
             tier=session.tier,
         )
         scratch = np.empty((*lead, n // 2), dtype=np.complex128)
-        for s in range(stages):
-            with session.iteration(s):
-                d = 1 << s  # butterfly distance
-                w = _twiddles(d, sign)
-                blocks = data.reshape(*lead, n // (2 * d), 2, d)
-                t = scratch.reshape(*lead, n // (2 * d), d)
-                np.multiply(blocks[..., 1, :], w, out=t)
-                u = blocks[..., 0, :]
-                np.subtract(u, t, out=blocks[..., 1, :])
-                np.add(u, t, out=blocks[..., 0, :])
-                # 5n FLOPs per point set: one complex multiply and two
-                # complex adds per butterfly pair.
-                session.recorder.charge_flops(
-                    FlopKind.MUL, pairs, complex_valued=True
-                )
-                session.recorder.charge_flops(
-                    FlopKind.ADD, 2 * pairs, complex_valued=True
-                )
-                session.recorder.charge_compute_time(stage_time)
-                _charge_stage(x, axis, d)
+        for s in session.iterations(range(stages)):
+            d = 1 << s  # butterfly distance
+            w = _twiddles(d, sign)
+            blocks = data.reshape(*lead, n // (2 * d), 2, d)
+            t = scratch.reshape(*lead, n // (2 * d), d)
+            np.multiply(blocks[..., 1, :], w, out=t)
+            u = blocks[..., 0, :]
+            np.subtract(u, t, out=blocks[..., 1, :])
+            np.add(u, t, out=blocks[..., 0, :])
+            # 5n FLOPs per point set: one complex multiply and two
+            # complex adds per butterfly pair.
+            session.recorder.charge_flops(
+                FlopKind.MUL, pairs, complex_valued=True
+            )
+            session.recorder.charge_flops(
+                FlopKind.ADD, 2 * pairs, complex_valued=True
+            )
+            session.recorder.charge_compute_time(stage_time)
+            _charge_stage(x, axis, d)
     if inverse:
         data /= n
         session.recorder.charge_flops(FlopKind.DIV, x.size)

@@ -13,8 +13,8 @@ machine model directly.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from typing import ContextManager, Iterator, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.layout.spec import Layout
 from repro.machine.model import MachineModel
@@ -24,12 +24,6 @@ from repro.metrics.memory import TypeTag
 from repro.metrics.patterns import CommPattern
 from repro.metrics.recorder import MetricsRecorder
 from repro.versions import VersionTier
-
-#: Shared no-op context manager returned by :meth:`Session.iteration`
-#: when no span observer is attached.  ``contextlib.nullcontext`` is
-#: stateless, so one instance serves every unobserved iteration without
-#: allocating — the marker costs a counter bump and a None check.
-_NULL_SPAN: ContextManager[None] = nullcontext()
 
 
 class Session:
@@ -62,31 +56,33 @@ class Session:
         with self.recorder.region(name, iterations) as r:
             yield r
 
-    def iteration(self, index: Optional[int] = None) -> ContextManager[None]:
-        """Mark one main-loop iteration.
+    def iterations(self, trips: Iterable[int]) -> Iterator[int]:
+        """Iterate over ``trips``, marking each as one loop iteration.
 
-        Bumps the innermost region's ``marked_iterations`` counter,
-        which the span summary (:func:`repro.obs.span_summary`) reads.
-        With no observer attached this returns a shared no-op context
-        manager (no allocation); with a :class:`repro.obs.SpanCollector`
-        attached, the ``with`` body becomes an ``iteration`` span nested
-        under the enclosing region's span.  Markers never create
+        Each trip bumps the innermost region's ``marked_iterations``
+        counter, which the span summary (:func:`repro.obs.span_summary`)
+        reads.  With a :class:`repro.obs.SpanCollector` attached, the
+        trip also runs inside an ``iteration`` span nested under the
+        enclosing region's span; leaving the loop early (``break``,
+        an exception) closes the open span.  Markers never create
         recorder regions or touch any charged quantity, so reports are
         identical whether or not iterations are marked.
 
-        Use inside a ``with session.region(...)`` block::
+        Use inside the region block the trips belong to::
 
             with session.region("main_loop", iterations=steps):
-                for step in range(steps):
-                    with session.iteration(step):
-                        ...
+                for step in session.iterations(range(steps)):
+                    ...
         """
         recorder = self.recorder
-        recorder.current.marked_iterations += 1
         obs = recorder.observer
-        if obs is None:
-            return _NULL_SPAN
-        return obs.iteration(index)
+        for index in trips:
+            recorder.current.marked_iterations += 1
+            if obs is None:
+                yield index
+            else:
+                with obs.iteration(index):
+                    yield index
 
     def declare_memory(
         self, name: str, shape: Sequence[int], tag: TypeTag | type | str

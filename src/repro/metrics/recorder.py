@@ -112,7 +112,7 @@ class Region:
         self._bytes_network = 0
         self._bytes_local = 0
         #: how often ``MetricsRecorder.region`` entered this region, and
-        #: how many ``Session.iteration`` markers ran while it was the
+        #: how many ``Session.iterations`` trips began while it was the
         #: innermost one (the span summary's ``spans``/``iterations``)
         self.entries = 0
         self.marked_iterations = 0

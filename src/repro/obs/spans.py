@@ -6,8 +6,9 @@ A :class:`SpanCollector` is a read-only observer of one
 a :class:`Slice` with simulated start/end times, laid out sequentially
 on a single simulated clock (compute seconds, then comm busy seconds,
 then comm idle seconds, in the order the benchmark charged them).
-Region enter/exit and :meth:`~repro.machine.session.Session.iteration`
-markers become hierarchical :class:`Span` s bracketing those slices.
+Region enter/exit and the trips of
+:meth:`~repro.machine.session.Session.iterations` become hierarchical
+:class:`Span` s bracketing those slices.
 FLOPs charged with no compute charge after them (scalar bookkeeping in
 conj-grad, lu, qr, ...) are emitted as a zero-duration compute slice
 at the next region boundary or at :meth:`SpanCollector.finalize`, so
@@ -86,8 +87,8 @@ class Span:
     """One open/close interval on the simulated timeline.
 
     ``kind`` is ``"run"`` (the implicit root), ``"region"`` (a recorder
-    region entry) or ``"iteration"`` (a
-    :meth:`~repro.machine.session.Session.iteration` marker).  Re-entry
+    region entry) or ``"iteration"`` (one trip of
+    :meth:`~repro.machine.session.Session.iterations`).  Re-entry
     of a merged recorder region produces a *new* span per entry — spans
     are occurrences, regions are accumulators.
     """
@@ -283,7 +284,7 @@ class SpanCollector:
     # -- iteration markers ----------------------------------------------
     @contextmanager
     def iteration(self, index: Optional[int] = None) -> Iterator[None]:
-        """Open an ``iteration`` span (see ``Session.iteration``)."""
+        """Open an ``iteration`` span (see ``Session.iterations``)."""
         name = "iteration" if index is None else f"iteration {index}"
         span = Span(name, "iteration", self.now, index=index)
         self._span_stack[-1].children.append(span)
@@ -291,11 +292,9 @@ class SpanCollector:
         try:
             yield
         finally:
-            while len(self._span_stack) > 1:
-                popped = self._span_stack.pop()
-                popped.end = self.now
-                if popped is span:
-                    break
+            # a region exit or finalize() may have closed it already
+            while span.end is None:
+                self._span_stack.pop().end = self.now
 
     # -- aggregation ----------------------------------------------------
     def totals(self) -> Dict[str, object]:
@@ -357,7 +356,7 @@ def span_summary(recorder: MetricsRecorder) -> Dict[str, object]:
     collector attached.  The totals are :meth:`SpanCollector.totals`
     of the same recorder, so they equal the run's report exactly.
     ``spans`` and ``iterations`` count region entries and
-    ``Session.iteration`` markers; ``top_regions`` ranks regions by
+    ``Session.iterations`` trips; ``top_regions`` ranks regions by
     exclusive busy time.
     """
     root = recorder.root

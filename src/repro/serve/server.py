@@ -69,6 +69,9 @@ from repro.serve.protocol import (
 )
 from repro.serve.state import Job, ServerCounters, TokenBucket
 
+#: with a cache byte budget, enforce it every this many executions
+PRUNE_EVERY = 32
+
 _REASONS = {
     200: "OK",
     202: "Accepted",
@@ -109,8 +112,6 @@ class ServeConfig:
     backoff: float = 0.1
     #: pre-spawn and pre-import workers before accepting requests
     warmup: bool = True
-    #: enforce the cache byte budget every N executions
-    prune_every: int = 32
     #: completed jobs retained in memory; older done jobs are evicted
     #: (their durable copies — store record, cache entry — survive, so
     #: ``/result`` still answers for evicted hashes via the disk cache)
@@ -762,7 +763,7 @@ class ServeApp:
             if (
                 self.cache is not None
                 and config.cache_max_bytes is not None
-                and self.counters.executed % max(1, config.prune_every) == 0
+                and self.counters.executed % PRUNE_EVERY == 0
             ):
                 self.cache.prune(max_bytes=config.cache_max_bytes)
                 self._m_evicted_files.inc(self.cache.last_prune["files"])

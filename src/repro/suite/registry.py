@@ -59,10 +59,11 @@ class BenchmarkSpec:
         default_factory=dict
     )
     #: implementation-level patterns that legitimately occur beyond the
-    #: Table-7 list (stencils composed from primitives, FFT-internal
-    #: motions, solver substrates — discussed in EXPERIMENTS.md).  Both
-    #: the runtime Table-7 inventory test and the static RC008
-    #: pattern-conformance rule accept ``comm_patterns | comm_extras``.
+    #: Table 3/7 list (stencils composed from primitives, FFT-internal
+    #: motions and sweep markers, solver substrates — discussed in
+    #: EXPERIMENTS.md).  Tier-1's inventory test
+    #: (``tests/test_comm_inventory.py``) accepts a run's recorded
+    #: patterns when they lie in ``comm_patterns | comm_extras``.
     comm_extras: Tuple[CommPattern, ...] = ()
 
 
@@ -184,6 +185,8 @@ def _build_registry() -> Dict[str, BenchmarkSpec]:
             {CommPattern.CSHIFT: (1, 2, 3), CommPattern.AAPC: (1, 2, 3)},
             default_params={"n": 1024, "dims": 1},
             description="radix-2 FFT in 1, 2 and 3 dimensions",
+            # the zero-byte marker each 1-D sweep records
+            comm_extras=(CommPattern.BUTTERFLY, ),
         ),
         # ---------------- applications (paper §4) ----------------
         BenchmarkSpec(

@@ -1,9 +1,9 @@
-"""repro.check linter: per-rule fixtures, baseline, CLI plumbing.
+"""repro.check linter: parse failures, baseline, driver, CLI plumbing.
 
-Each rule gets a known-bad fixture (asserting the exact finding code,
-symbol, and location) and a known-good twin that differs only in the
-session discipline, so the tests pin both the detection and the
-false-positive boundary.
+The concurrency rules' own bad/good fixture pairs live in
+``tests/test_check_concurrency.py``; these tests share one RC101
+fixture to pin the baseline, output formats and ``--changed``
+reporting.
 """
 
 from pathlib import Path
@@ -28,187 +28,26 @@ def codes(findings):
     return [f.code for f in findings]
 
 
-#: An RC004 fixture (a session reused across loop trips) shared by the
+#: An RC101 fixture (a blocking sleep inside a coroutine) shared by the
 #: baseline, driver and --changed tests.
 BAD = dedent(
     """\
-    def leaky(names, session):
-        out = []
-        for name in names:
-            out.append(run_benchmark(name, session))
-        return out
+    import time
+
+    async def leaky():
+        time.sleep(0.1)
     """
 )
 
-#: An RC006 fixture (an iteration span created but never entered).
-DANGLING_SPAN = dedent(
-    """\
-    def run(session, steps):
-        with session.region("main_loop", iterations=steps):
-            for step in range(steps):
-                session.iteration(step)
-    """
-)
-
-
-# ----------------------------------------------------------------------
-# RC004: session misuse
-# ----------------------------------------------------------------------
-class TestRC004:
-    def test_session_reuse_across_runs(self):
-        bad = dedent(
-            """\
-            def sweep(names, session):
-                out = []
-                for name in names:
-                    out.append(run_benchmark(name, session))
-                return out
-            """
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC004"]
-        f = findings[0]
-        assert f.symbol == "sweep"
-        assert f.line == 4
-        assert "'session'" in f.message
-        assert "fresh session" in f.message
-
-    def test_fresh_session_per_run_ok(self):
-        good = dedent(
-            """\
-            def sweep(names, machine):
-                out = []
-                for name in names:
-                    session = open_session(machine)
-                    out.append(run_benchmark(name, session))
-                return out
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_region_outside_with(self):
-        bad = dedent(
-            """\
-            def timed(session):
-                session.region("main")
-                return session
-            """
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC004"]
-        assert "'with'" in findings[0].message
-        assert findings[0].line == 2
-
-    def test_region_as_context_manager_ok(self):
-        good = dedent(
-            """\
-            def timed(session):
-                with session.region("main"):
-                    pass
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-
-# ----------------------------------------------------------------------
-# RC006: dangling observability spans
-# ----------------------------------------------------------------------
-class TestRC006:
-    def test_iteration_outside_with(self):
-        bad = dedent(
-            """\
-            def run(session, steps):
-                with session.region("main_loop", iterations=steps):
-                    for step in range(steps):
-                        session.iteration(step)
-                        session.charge_elementwise(100)
-            """
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC006"]
-        f = findings[0]
-        assert f.symbol == "run"
-        assert f.line == 4
-        assert "'with'" in f.message
-        assert "iteration" in f.message
-
-    def test_iteration_as_context_manager_ok(self):
-        good = dedent(
-            """\
-            def run(session, steps):
-                with session.region("main_loop", iterations=steps):
-                    for step in range(steps):
-                        with session.iteration(step):
-                            session.charge_elementwise(100)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_returned_span_is_passthrough(self):
-        # Session.iteration itself forwards the collector's context
-        # manager; the caller enters it.
-        good = dedent(
-            """\
-            def iteration(self, index):
-                obs = self.recorder.observer
-                if obs is None:
-                    return _NULL_SPAN
-                return obs.iteration(index)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_with_iteration_outside_region_in_region_function(self):
-        bad = dedent(
-            """\
-            def run(session, steps):
-                for step in range(steps):
-                    with session.iteration(step):
-                        session.charge_elementwise(100)
-                with session.region("main_loop", iterations=steps):
-                    session.charge_elementwise(100)
-            """
-        )
-        findings = lint_source(bad, "fix.py")
-        assert codes(findings) == ["RC006"]
-        f = findings[0]
-        assert f.symbol == "run"
-        assert f.line == 3
-        assert "region" in f.message
-
-    def test_helper_without_regions_exempt(self):
-        # A per-stage helper invoked under the caller's region (like
-        # the FFT axis sweep) owns no region and is not flagged.
-        good = dedent(
-            """\
-            def _sweep_axis(session, stages):
-                for s in range(stages):
-                    with session.iteration(s):
-                        session.charge_elementwise(100)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
-
-    def test_iteration_inside_region_ok(self):
-        good = dedent(
-            """\
-            def run(session, steps):
-                with session.region("main_loop", iterations=steps):
-                    for step in range(steps):
-                        with session.iteration(step):
-                            session.charge_elementwise(100)
-                with session.region("tail", iterations=1):
-                    session.charge_elementwise(10)
-            """
-        )
-        assert lint_source(good, "fix.py") == []
+#: An RC000 fixture (a source that does not parse).
+BROKEN = "def broken(:\n"
 
 
 # ----------------------------------------------------------------------
 # Parse failure
 # ----------------------------------------------------------------------
 def test_syntax_error_is_rc000():
-    findings = lint_source("def broken(:\n", "oops.py")
+    findings = lint_source(BROKEN, "oops.py")
     assert codes(findings) == ["RC000"]
     assert findings[0].path == "oops.py"
     assert "parse" in findings[0].message
@@ -222,28 +61,28 @@ class TestBaseline:
         findings = lint_source(BAD, "fix.py")
         baseline = Baseline(
             suppressions=[
-                Suppression("RC004", "fix.py", "leaky", "known, tracked")
+                Suppression("RC101", "fix.py", "leaky", "known, tracked")
             ]
         )
         result = baseline.apply(findings)
         assert result.ok
-        assert codes(result.suppressed) == ["RC004"]
+        assert codes(result.suppressed) == ["RC101"]
         assert result.unused_suppressions == []
 
     def test_wrong_symbol_does_not_suppress(self):
         findings = lint_source(BAD, "fix.py")
         baseline = Baseline(
-            suppressions=[Suppression("RC004", "fix.py", "other", "reason")]
+            suppressions=[Suppression("RC101", "fix.py", "other", "reason")]
         )
         result = baseline.apply(findings)
         assert not result.ok
-        assert result.unused_suppressions == ["RC004:fix.py:other"]
+        assert result.unused_suppressions == ["RC101:fix.py:other"]
 
     def test_path_wildcard(self):
         findings = lint_source(BAD, "src/repro/apps/fix.py")
         baseline = Baseline(
             suppressions=[
-                Suppression("RC004", "src/repro/apps/*", "*", "bulk adopt")
+                Suppression("RC101", "src/repro/apps/*", "*", "bulk adopt")
             ]
         )
         assert baseline.apply(findings).ok
@@ -251,7 +90,7 @@ class TestBaseline:
     def test_load_rejects_missing_reason(self, tmp_path):
         p = tmp_path / ".repro-check.toml"
         p.write_text(
-            '[[suppression]]\ncode = "RC004"\npath = "a.py"\n'
+            '[[suppression]]\ncode = "RC101"\npath = "a.py"\n'
             'symbol = "f"\n'
         )
         with pytest.raises(ValueError, match="reason"):
@@ -266,7 +105,7 @@ class TestBaseline:
         p = tmp_path / "baseline.toml"
         write_baseline(findings, p)
         loaded = load_baseline(p)
-        assert [s.code for s in loaded.suppressions] == ["RC004"]
+        assert [s.code for s in loaded.suppressions] == ["RC101"]
         assert loaded.apply(findings).ok
 
 
@@ -283,7 +122,7 @@ class TestDriver:
         result = lint_paths(
             [pkg], baseline=Baseline(suppressions=[]), root=tmp_path
         )
-        assert codes(result.active) == ["RC004"]
+        assert codes(result.active) == ["RC101"]
         assert result.active[0].path == "pkg/bad.py"
 
     def test_format_and_json(self):
@@ -293,14 +132,12 @@ class TestDriver:
         assert "fix.py:4" in text
         assert "1 finding(s), 0 suppressed, 0 stale suppression(s)" in text
         payload = findings_to_json(result)
-        assert '"RC004"' in payload
+        assert '"RC101"' in payload
         assert '"ok": false' in payload
 
     def test_summarize_codes(self):
-        findings = lint_source(BAD, "a.py") + lint_source(
-            DANGLING_SPAN, "b.py"
-        )
-        assert summarize_codes(findings) == {"RC004": 1, "RC006": 1}
+        findings = lint_source(BAD, "a.py") + lint_source(BROKEN, "b.py")
+        assert summarize_codes(findings) == {"RC000": 1, "RC101": 1}
 
 
 # ----------------------------------------------------------------------
@@ -326,11 +163,11 @@ class TestChangedReporting:
         (tmp_path / "b.py").write_text(BAD)
         baseline = Baseline(suppressions=[
             Suppression(
-                code="RC004", path="a.py", symbol="leaky",
+                code="RC101", path="a.py", symbol="leaky",
                 reason="known",
             ),
             Suppression(
-                code="RC004", path="gone.py", symbol="x",
+                code="RC101", path="gone.py", symbol="x",
                 reason="stale",
             ),
         ])

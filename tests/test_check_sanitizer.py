@@ -116,14 +116,15 @@ class TestCLI:
     def test_check_lint_flags_bad_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(
-            "def timed(session):\n"
-            "    session.region('main')\n"
-            "    return session\n"
+            "import time\n"
+            "\n"
+            "async def handler():\n"
+            "    time.sleep(0.1)\n"
         )
         rc = main(["check", "lint", str(bad)])
         out = capsys.readouterr().out
         assert rc == 1
-        assert "RC004" in out
+        assert "RC101" in out
 
     def test_check_audit_diff1d_exits_zero(self, capsys):
         rc = main(["check", "audit", "diff-1d", "--tolerance", "0"])

@@ -16,11 +16,10 @@ from textwrap import dedent
 
 BAD = dedent(
     """\
-    def leaky(names, session):
-        out = []
-        for name in names:
-            out.append(run_benchmark(name, session))
-        return out
+    import time
+
+    async def leaky():
+        time.sleep(0.1)
     """
 )
 
@@ -28,7 +27,7 @@ BAD = dedent(
 def result_with_suppression():
     findings = lint_source(BAD, "pkg/fix.py")
     baseline = Baseline(suppressions=[Suppression(
-        code="RC004", path="pkg/fix.py", symbol="leaky", reason="test"
+        code="RC101", path="pkg/fix.py", symbol="leaky", reason="test"
     )])
     return findings, baseline.apply(findings)
 
@@ -54,7 +53,7 @@ class TestEmission:
         findings = lint_source(BAD, "pkg/fix.py")
         doc = to_sarif(Baseline(suppressions=[]).apply(findings))
         res = doc["runs"][0]["results"][0]
-        assert res["ruleId"] == "RC004"
+        assert res["ruleId"] == "RC101"
         assert res["level"] == "error"
         assert "[leaky]" in res["message"]["text"]
         loc = res["locations"][0]["physicalLocation"]

@@ -271,6 +271,27 @@ class TestIncrementalPersistence:
         }
         assert sum(r.status == "cached" for r in rerun) == 7
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_stats_write_still_finishes_the_run(
+        self, tmp_path, monkeypatch, capsys, jobs
+    ):
+        """A full disk costs the run's sidecar, not its results."""
+
+        def full_disk(self, run_id, record):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(RunStore, "write_stats", full_disk)
+        store_path, stream = tmp_path / "runs.jsonl", tmp_path / "events.jsonl"
+        engine = Engine(EngineConfig(jobs=jobs, store=store_path, stream=stream))
+        results = engine.run(plan_suite(["fft", "lu"], params=SMALL_PARAMS))
+        assert [r.status for r in results] == ["ok", "ok"]
+        assert engine.last_run_stats.n_jobs == 2
+        assert len(RunStore(store_path).records()) == 2
+        events = read_stream(stream, strict=True)
+        assert events[-1]["kind"] == "run_finished"
+        assert events[-1]["ok"] == 2
+        assert "No space left" in capsys.readouterr().err
+
     def test_pool_records_carry_plan_order_index(self, tmp_path):
         store_path = tmp_path / "runs.jsonl"
         Engine(EngineConfig(jobs=4, store=store_path)).run(subset_requests())

@@ -45,7 +45,7 @@ from repro.obs.spans import CATEGORY_COMM_BUSY
 from repro.sessions import open_session
 from repro.suite import REGISTRY, SMALL_PARAMS, run_benchmark
 
-#: Benchmarks whose main loops carry session.iteration markers, with
+#: Benchmarks whose main loops run on session.iterations, with
 #: any parameter overrides needed to exercise a stepping variant
 #: (n-body's default broadcast variant has no time loop).
 ITERATION_ADOPTERS = (
@@ -91,8 +91,14 @@ def test_collector_is_metrics_invisible_and_reconciles(name):
 
 @pytest.mark.parametrize("name,extra", ITERATION_ADOPTERS)
 def test_adopters_emit_iteration_spans(name, extra):
+    """Every trip is a closed span directly under the main_loop region."""
     params = {**SMALL_PARAMS.get(name, {}), **extra}
     _, collector = traced_run(name, **params)
+    parents = {
+        id(child): span
+        for span in collector.root.walk()
+        for child in span.children
+    }
     iteration_spans = [
         s for s in collector.root.walk() if s.kind == "iteration"
     ]
@@ -100,16 +106,35 @@ def test_adopters_emit_iteration_spans(name, extra):
     for span in iteration_spans:
         assert span.end is not None
         assert span.end >= span.start
+        parent = parents[id(span)]
+        assert (parent.kind, parent.name) == ("region", "main_loop"), (
+            f"{name}: {span!r} opened under {parent!r}, not main_loop"
+        )
 
 
 def test_iteration_marker_is_noop_without_collector():
-    """Session.iteration allocates nothing when nothing is attached."""
+    """With nothing attached, trips are only counted, innermost region."""
     session = open_session()
-    first = session.iteration(0)
-    second = session.iteration(1)
-    assert first is second  # the shared null context, no allocation
-    with first:
-        pass
+    with session.region("benchmark") as outer:
+        with session.region("main_loop", iterations=3) as inner:
+            assert list(session.iterations(range(3))) == [0, 1, 2]
+    assert (outer.marked_iterations, inner.marked_iterations) == (0, 3)
+    assert [r.name for r in outer.walk()] == ["benchmark", "main_loop"]
+
+
+def test_break_closes_the_open_iteration_span():
+    session = open_session()
+    collector = SpanCollector().attach(session)
+    with session.region("main_loop", iterations=5) as region:
+        for step in session.iterations(range(5)):
+            if step == 2:
+                break
+        spans = [s for s in collector.root.walk() if s.kind == "iteration"]
+        # closed at the break, not left for the region exit to close
+        assert [(s.index, s.end is not None) for s in spans] == [
+            (0, True), (1, True), (2, True),
+        ]
+    assert region.marked_iterations == 3
 
 
 # ----------------------------------------------------------------------
