@@ -14,6 +14,9 @@ consumer (CLI, tables, benchmark harness, sweeps):
   (code fingerprint, request hash);
 * :mod:`repro.engine.store` — append-only JSONL run store of every
   result, with run grouping and diffing;
+* :mod:`repro.engine.journal` — the one writer of a finished job's
+  trail (cache entry, store record, event, stats fold), for engine
+  runs and the run server alike;
 * :mod:`repro.engine.plan` — grid/sweep expansion into deduplicated
   request lists, and stored-run replay;
 * :mod:`repro.engine.stats` — per-run scheduler statistics

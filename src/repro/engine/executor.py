@@ -14,13 +14,14 @@ into :class:`RunResult` s through four layers:
   without aborting the rest.  Every such decision is made by
   :class:`~repro.engine.lifecycle.Lifecycle`; both execution paths
   here are its drivers and keep only the I/O;
-* **persistence** — every result (including cache hits) appends to the
-  run store *as its job finishes*, so a killed run keeps the history of
-  every completed job; every lifecycle transition is emitted once as a
-  run event (:mod:`repro.obs.stream`), which also feeds the job
-  metrics; and a :class:`~repro.engine.stats.RunStats` summary is
-  serialized next to the store and exposed as
-  ``engine.last_run_stats``.
+* **persistence** — the run's :class:`~repro.engine.journal.RunJournal`
+  writes every finished job's trail (cache entry, store record,
+  ``job_finished`` event, stats fold) *as its job finishes*, so a
+  killed run keeps the history of every completed job; every lifecycle
+  transition is emitted once as a run event (:mod:`repro.obs.stream`),
+  which also feeds the job metrics; and the run's
+  :class:`~repro.engine.stats.RunStats` is serialized next to the store
+  and exposed as ``engine.last_run_stats``.
 
 Determinism: the simulation itself is deterministic, and both execution
 paths serialize reports with the same
@@ -37,7 +38,6 @@ workers instead of paying spawn + import per suite.
 from __future__ import annotations
 
 import concurrent.futures as cf
-import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,16 +45,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.engine.cache import ResultCache
 from repro.engine.jobs import RunRequest, execute_request
+from repro.engine.journal import RunJournal
 from repro.engine.lifecycle import Finish, Lifecycle, Restart, Submission
 from repro.engine.pool import WorkerPool, _apply_test_hooks, _pool_supported, returned
-from repro.engine.store import make_record, new_run_id, open_store
+from repro.engine.store import new_run_id, open_store
 from repro.metrics.report import PerfReport
 from repro.metrics.serialize import report_from_dict, report_to_dict
 from repro.obs import telemetry
-from repro.obs.stream import EventFanout, EventStream
-
-#: Final job statuses.
-STATUSES = ("ok", "failed", "timeout", "cached")
 
 _METRICS: Optional[Dict] = None
 
@@ -115,7 +112,7 @@ class RunResult:
     queue_wait_s: float = 0.0
     #: seconds a worker spent on this job, summed over attempts
     compute_time_s: float = 0.0
-    #: span summary of the job's recorder (span collection on; see
+    #: span summary of the job's recorder (runs with a ``stream``; see
     #: :func:`repro.obs.span_summary`), forwarded into the ``.stats``
     #: sidecar
     spans: Optional[Dict] = None
@@ -141,21 +138,10 @@ class EngineConfig:
     #: budget before running; implies pruning stale buckets
     cache_max_bytes: Optional[int] = None
     store: Optional[Union[str, Path]] = None
-    #: serial in-process mode only: let job exceptions propagate to the
-    #: caller instead of recording a ``failed`` result (the historical
-    #: ``run_suite`` contract).
-    raise_on_error: bool = False
     run_id: Optional[str] = None
-    #: JSONL run-event stream path (repro suite --stream); implies
-    #: span collection
+    #: JSONL run-event stream path (repro suite --stream); each job's
+    #: result then carries its span summary
     stream: Optional[Union[str, Path]] = None
-    #: collect per-job span summaries (repro.obs) into the stats sidecar
-    spans: bool = False
-
-    @property
-    def collect_spans(self) -> bool:
-        """Whether each job's result carries a span summary."""
-        return self.spans or self.stream is not None
 
 
 class Engine:
@@ -175,44 +161,29 @@ class Engine:
         self.pool = pool
         #: :class:`~repro.engine.stats.RunStats` of the latest ``run()``
         self.last_run_stats = None
-        self._store = None
-        self._run_id: Optional[str] = None
-        #: the current run's events (a file sink with ``config.stream``)
-        self._events: Optional[EventFanout] = None
-        #: the current run's requests, results and cache
-        self._requests, self._results, self._cache = (), [], None
+        #: the current run's journal, requests and results
+        self._journal: Optional[RunJournal] = None
+        self._requests, self._results = (), []
         #: extra phase counters filled in by the pool path (batching)
         self._pool_phases: Dict[str, float] = {}
 
     # -- public API -----------------------------------------------------
-    def run(
-        self,
-        requests: Sequence[RunRequest],
-        session_factory: Optional[Callable[[], object]] = None,
-    ) -> List[RunResult]:
-        """Execute requests; results come back in request order.
-
-        ``session_factory`` forces serial in-process execution (an
-        arbitrary factory cannot be shipped to workers) and replaces
-        the declarative machine spec — the compatibility path for
-        :func:`repro.suite.runner.run_suite`.
-        """
-        from repro.engine.stats import stats_from_results
-
+    def run(self, requests: Sequence[RunRequest]) -> List[RunResult]:
+        """Execute requests; results come back in request order."""
         requests = list(requests)
         config = self.config
-        run_id = config.run_id or new_run_id()
         cache = (
             ResultCache(config.cache_dir) if config.cache_dir is not None else None
         )
-        store = open_store(config.store) if config.store is not None else None
+        journal = RunJournal(
+            config.run_id or new_run_id(),
+            _metrics()["job"],
+            cache=cache,
+            store=open_store(config.store) if config.store is not None else None,
+            stream=config.stream,
+        )
         results: List[Optional[RunResult]] = [None] * len(requests)
-        self._store = store
-        self._run_id = run_id
-        self._requests, self._results, self._cache = requests, results, cache
-        self._events = EventFanout()
-        if config.stream is not None:
-            self._events.attach(EventStream(config.stream))
+        self._journal, self._requests, self._results = journal, requests, results
         started = time.perf_counter()
 
         try:
@@ -223,22 +194,19 @@ class Engine:
                 pruned = cache.prune(max_bytes=config.cache_max_bytes)
                 _metrics()["evicted_files"].inc(cache.last_prune["files"])
                 _metrics()["evicted_bytes"].inc(cache.last_prune["bytes"])
-            self._emit("run_started", workers=config.jobs, n_jobs=len(requests))
+            journal.emit("run_started", workers=config.jobs, n_jobs=len(requests))
             pending: List[int] = []
             for index, request in enumerate(requests):
                 hit = cache.get(request) if cache is not None else None
                 if hit is not None and hit.get("report") is not None:
-                    result = RunResult(
-                        request=request,
-                        status="cached",
-                        report=report_from_dict(hit["report"]),
-                        report_record=hit["report"],
-                        attempts=0,
-                        wall_time_s=0.0,
-                        index=index,
+                    record = hit["report"]
+                    error = journal.record(
+                        request, status="cached", report=record, index=index
                     )
-                    results[index] = result
-                    self._finish(request, result)
+                    self._finish(RunResult(
+                        request, "cached", report_from_dict(record),
+                        report_record=record, error=error, index=index,
+                    ))
                 else:
                     pending.append(index)
             lookup_done = time.perf_counter()
@@ -249,131 +217,62 @@ class Engine:
                 if pending:
                     _metrics()["cache"].labels(result="miss").inc(len(pending))
 
-            use_pool = bool(pending) and (
-                (config.jobs > 1 or self.pool is not None)
-                and session_factory is None
-                and not config.raise_on_error
+            use_pool = (
+                bool(pending)
+                and (config.jobs > 1 or self.pool is not None)
                 and _pool_supported()
             )
-            workers_used = 1
             self._pool_phases = {}
             if use_pool:
-                workers_used = self._run_pool(pending)
-            elif pending:
-                self._run_serial(pending, session_factory)
+                journal.stats.workers = self._run_pool(pending)
+            else:
+                journal.stats.workers = 1
+                if pending:
+                    self._run_serial(pending)
 
-            final = [r for r in results if r is not None]
             now = time.perf_counter()
             phases = {
                 "cache_lookup_s": lookup_done - started,
                 "execute_s": now - lookup_done,
             }
             phases.update(self._pool_phases)
-            stats = stats_from_results(
-                run_id,
-                final,
-                workers=workers_used if use_pool else 1,
-                duration_s=now - started,
-                phases=phases,
-            )
             if pruned:
-                stats.phases["cache_pruned_files"] = float(pruned)
-            self.last_run_stats = stats
-            # as in ServeApp._finalize, a failed sidecar write costs only
-            # the sidecar: `engine stats` recomputes the run from its
-            # store records, and the run still finishes and returns
-            try:
-                if store is not None:
-                    store.write_stats(run_id, stats.to_dict())
-            except OSError as exc:
-                print(
-                    f"repro engine: stats sidecar not written: {exc}",
-                    file=sys.stderr,
-                )
-            counts = {s: 0 for s in STATUSES}
-            for result in final:
-                counts[result.status] += 1
-            self._emit(
-                "run_finished",
-                duration_s=stats.duration_s,
-                throughput_jobs_per_s=stats.throughput_jobs_per_s,
-                cache_hit_rate=stats.cache_hit_rate,
-                worker_utilization=stats.worker_utilization,
-                retries=stats.retries,
-                timeouts=stats.timeouts,
-                **counts,
-            )
-            return final
+                phases["cache_pruned_files"] = float(pruned)
+            self.last_run_stats = journal.close(now - started, phases)
+            return [r for r in results if r is not None]
         finally:
-            self._events.close()
-            self._events = None
-            self._store = None
-            self._run_id = None
-            self._requests, self._results, self._cache = (), [], None
+            # a killed run ends without run_finished, but its stream closes
+            journal.fanout.close()
+            self._journal, self._requests, self._results = None, (), []
 
     # -- shared helpers -------------------------------------------------
-    def _emit(self, kind: str, request: Optional[RunRequest] = None, **fields) -> None:
-        """Emit one run event and fold it into the job metrics."""
-        if request is not None:
-            fields["benchmark"] = request.benchmark
-            fields["request_hash"] = request.content_hash()
-        _metrics()["job"].fold(self._events.emit(kind, run_id=self._run_id, **fields))
+    def _finish(self, result: RunResult) -> None:
+        """Hand back one job's result once the journal has recorded it.
 
-    def _finish(self, request: RunRequest, result: RunResult) -> None:
-        """Record one finished job: event, durable store, progress.
-
-        The store append happens here — as each job finishes, not after
-        the whole run — so a killed run keeps the history of every job
-        that completed before the kill (the store's append-only
-        durability contract).
+        The store append happens as each job finishes, not after the
+        whole run, so a killed run keeps the history of every job that
+        finished before the kill.
         """
-        self._emit(
-            "job_finished",
-            request,
-            status=result.status,
-            attempts=result.attempts,
-            wall_time_s=result.wall_time_s,
-            queue_wait_s=result.queue_wait_s,
-            compute_time_s=result.compute_time_s,
-            error=result.error,
-            spans=result.spans,
-        )
-        if self._store is not None:
-            self._store.append(make_record(self._run_id, result))
+        self._results[result.index] = result
         if self.progress is not None:
             self.progress(result)
 
     def _complete(self, finish: Finish) -> None:
-        """Turn a finished job into its result; cache a fresh report.
-
-        A failed cache write (a full disk) costs only the cache entry:
-        the job keeps its status, its error names the failed write, and
-        it is stored and announced like any other job.
-        """
+        """Record an executed job through the journal; build its result."""
         request = self._requests[finish.key]
         payload = finish.result or {}
         record = payload.get("report")
-        error = finish.error
-        if record is not None and self._cache is not None:
-            try:
-                self._cache.put_report(request, record, finish.wall_s)
-            except OSError as exc:
-                error = error or f"cache write failed: {exc}"
-        result = RunResult(
-            request=request,
-            status=finish.status,
-            report=None if record is None else report_from_dict(record),
-            report_record=record,
-            error=error,
-            attempts=finish.attempts,
-            wall_time_s=finish.wall_s,
-            index=finish.key,
-            queue_wait_s=finish.queue_wait_s,
-            compute_time_s=finish.compute_s,
-            spans=payload.get("spans"),
+        job = {
+            "status": finish.status, "attempts": finish.attempts,
+            "wall_time_s": finish.wall_s, "queue_wait_s": finish.queue_wait_s,
+            "compute_time_s": finish.compute_s, "spans": payload.get("spans"),
+            "index": finish.key,
+        }
+        error = self._journal.executed(request, report=record, error=finish.error, **job)
+        report = None if record is None else report_from_dict(record)
+        self._finish(
+            RunResult(request, report=report, report_record=record, error=error, **job)
         )
-        self._results[finish.key] = result
-        self._finish(request, result)
 
     def _apply(self, actions, pool: Optional[WorkerPool] = None) -> None:
         """Carry out the lifecycle's actions: results, retries, restarts."""
@@ -384,7 +283,7 @@ class Engine:
             elif isinstance(action, Finish):
                 self._complete(action)
             else:
-                self._emit(
+                self._journal.emit(
                     "job_retried",
                     self._requests[action.key],
                     attempt=action.attempt,
@@ -393,12 +292,8 @@ class Engine:
                 )
 
     # -- serial path ----------------------------------------------------
-    def _run_serial(
-        self,
-        indices: Sequence[int],
-        session_factory: Optional[Callable[[], object]],
-    ) -> None:
-        """In-process execution: the degradation and compatibility path.
+    def _run_serial(self, indices: Sequence[int]) -> None:
+        """In-process execution: the degradation path.
 
         Per-job timeouts are not enforced here — a single process
         cannot preempt its own benchmark — so ``timeout`` only bounds
@@ -424,20 +319,18 @@ class Engine:
             (sub,) = trips
             ((index, attempt),) = sub.members
             request = self._requests[index]
-            self._emit("job_started", request, attempt=attempt, batch=1)
+            self._journal.emit("job_started", request, attempt=attempt, batch=1)
             try:
                 _apply_test_hooks(request.benchmark, attempt)
-                session = (session_factory or request.build_session)()
+                session = request.build_session()
                 report = execute_request(request, lambda: session)
             except Exception as exc:
-                if config.raise_on_error:
-                    raise
                 error = f"{type(exc).__name__}: {exc}"
                 self._apply(lifecycle.failed(sub, index, time.perf_counter(), error))
                 continue
             now = time.perf_counter()
             result = {"report": report_to_dict(report)}
-            if config.collect_spans:
+            if config.stream is not None:
                 from repro.obs import span_summary
 
                 result["spans"] = span_summary(session.recorder)
@@ -497,10 +390,10 @@ class Engine:
 
     def _submit(self, pool: WorkerPool, sub: Submission) -> None:
         """Hand one trip to the pool; ``sub.handle`` is its future."""
-        requests, spans = self._requests, self.config.collect_spans
+        requests, spans = self._requests, self.config.stream is not None
         batch = len(sub.members)
         for index, attempt in sub.members:
-            self._emit("job_started", requests[index], attempt=attempt, batch=batch)
+            self._journal.emit("job_started", requests[index], attempt=attempt, batch=batch)
         _metrics()["batch"].observe(batch)
         if not sub.batched:
             ((index, attempt),) = sub.members

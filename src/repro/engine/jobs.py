@@ -208,17 +208,15 @@ def execute_request(
 ):
     """Run one request to a :class:`~repro.metrics.report.PerfReport`.
 
-    ``session_factory`` overrides the request's declarative machine
-    spec with a caller-built session (the in-process compatibility path
-    used by :func:`repro.suite.runner.run_suite`); worker processes
-    always build the session from the spec.
+    ``session_factory`` supplies the session instead of a fresh one
+    built from the request's declarative machine spec.
 
     ``observer`` (e.g. a :class:`repro.obs.SpanCollector`) is attached
     to the session's recorder before the benchmark runs.  Observers are
     read-only: the report is byte-identical with or without one.  The
-    engine and ``repro serve`` attach none: they pass their own session
-    through ``session_factory`` and summarize its recorder afterwards
-    with :func:`repro.obs.span_summary`.
+    engine and ``repro serve`` attach none: they build the session from
+    the spec, pass it through ``session_factory`` and summarize its
+    recorder afterwards with :func:`repro.obs.span_summary`.
     """
     from repro.suite.runner import run_benchmark
 

@@ -301,14 +301,14 @@ def latency_histogram_lines(
 class StatsAccumulator:
     """Fold jobs into a :class:`RunStats` one at a time.
 
-    The one aggregation path behind every :class:`RunStats`: an engine
-    run folds its results when it ends (:func:`stats_from_results`),
-    a stored run folds its records (:func:`stats_from_records`), and a
-    long-lived server folds each result as it completes and calls
-    :meth:`snapshot` once, at shutdown, for its run's one sidecar.
-    ``keep_jobs`` bounds the per-job rows kept for the sidecar table to
-    the newest ones (None keeps all), so a server does not hold every
-    job until shutdown; every aggregate covers everything added.
+    The one aggregation path behind every :class:`RunStats`: a run's
+    journal (:class:`~repro.engine.journal.RunJournal`) folds each
+    ``job_finished`` event as it is emitted and calls :meth:`snapshot`
+    once, when the run ends, for the run's one sidecar; a stored run
+    folds its records (:func:`stats_from_records`).  ``keep_jobs``
+    bounds the per-job rows kept for the sidecar table to the newest
+    ones (None keeps all), so a server does not hold every job until
+    shutdown; every aggregate covers everything added.
     """
 
     def __init__(
@@ -334,23 +334,24 @@ class StatsAccumulator:
             maxlen=None if keep_jobs is None else max(0, keep_jobs)
         )
 
-    def add(self, result) -> None:
-        """Fold one :class:`RunResult` into the aggregates."""
-        self.add_job(
-            JobStats(
-                benchmark=result.request.benchmark,
-                status=result.status,
-                attempts=result.attempts,
-                queue_wait_s=result.queue_wait_s,
-                compute_time_s=result.compute_time_s,
-                wall_time_s=result.wall_time_s,
-                spans=getattr(result, "spans", None),
-            ),
-            result.report_record,
-        )
+    def add(self, finished: Mapping, report: Optional[Mapping] = None) -> None:
+        """Fold one finished job and its report record (None: it has none).
 
-    def add_job(self, job: JobStats, report: Optional[Mapping]) -> None:
-        """Fold one job and its report record (None: the job has none)."""
+        ``finished`` is a ``job_finished`` event or a store record.  Compute
+        time falls back to wall time only where ``compute_time_s`` is
+        absent, as in records written before it existed.
+        """
+        wall = finished.get("wall_time_s") or 0.0
+        compute = finished.get("compute_time_s")
+        job = JobStats(
+            benchmark=finished.get("benchmark", "?"),
+            status=finished.get("status", "?"),
+            attempts=finished.get("attempts", 0),
+            queue_wait_s=finished.get("queue_wait_s") or 0.0,
+            compute_time_s=wall if compute is None else compute,
+            wall_time_s=wall,
+            spans=finished.get("spans"),
+        )
         self.n_jobs += 1
         self.status_counts[job.status] = (
             self.status_counts.get(job.status, 0) + 1
@@ -426,10 +427,13 @@ def stats_from_results(
     duration_s: float,
     phases: Optional[Mapping[str, float]] = None,
 ) -> RunStats:
-    """Build stats from in-memory :class:`RunResult` s (engine path)."""
+    """Build stats from in-memory :class:`RunResult` s."""
     acc = StatsAccumulator(run_id, workers=workers, keep_jobs=None)
     for result in results:
-        acc.add(result)
+        acc.add(
+            {**vars(result), "benchmark": result.request.benchmark},
+            result.report_record,
+        )
     return acc.snapshot(duration_s=duration_s, phases=phases)
 
 
@@ -461,21 +465,7 @@ def stats_from_records(
         keep_jobs=None,
     )
     for record in records:
-        acc.add_job(
-            JobStats(
-                benchmark=record.get("benchmark", "?"),
-                status=record.get("status", "?"),
-                attempts=record.get("attempts", 0),
-                queue_wait_s=record.get("queue_wait_s", 0.0) or 0.0,
-                compute_time_s=(
-                    record.get("compute_time_s")
-                    or record.get("wall_time_s", 0.0)
-                    or 0.0
-                ),
-                wall_time_s=record.get("wall_time_s", 0.0) or 0.0,
-            ),
-            record.get("report"),
-        )
+        acc.add(record, record.get("report"))
     return acc.snapshot(duration_s=duration_s)
 
 

@@ -264,24 +264,27 @@ class RunStore(StoreReader):
         return read_records(self.path)
 
 
-def make_record(run_id: str, result) -> Dict:
-    """Build the store record for one :class:`RunResult`."""
-    request = result.request
+def make_record(
+    run_id: str, request, *, index: int, status: str, attempts: int,
+    wall_time_s: float, queue_wait_s: float, compute_time_s: float,
+    error: str, report: Optional[Dict],
+) -> Dict:
+    """Build the store record of one finished job of ``request``."""
     return {
         "schema": SCHEMA_VERSION,
         "run_id": run_id,
         "ts": time.time(),
-        "index": result.index,
+        "index": index,
         "benchmark": request.benchmark,
         "request": request.to_dict(),
         "request_hash": request.content_hash(),
-        "status": result.status,
-        "attempts": result.attempts,
-        "wall_time_s": result.wall_time_s,
-        "queue_wait_s": result.queue_wait_s,
-        "compute_time_s": result.compute_time_s,
-        "error": result.error or None,
-        "report": result.report_record,
+        "status": status,
+        "attempts": attempts,
+        "wall_time_s": wall_time_s,
+        "queue_wait_s": queue_wait_s,
+        "compute_time_s": compute_time_s,
+        "error": error or None,
+        "report": report,
     }
 
 

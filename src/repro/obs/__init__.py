@@ -51,7 +51,6 @@ from repro.obs.stream import (
     EventFanout,
     EventStream,
     StreamRead,
-    Subscription,
     read_stream,
     read_stream_partial,
     validate_stream,
@@ -71,7 +70,6 @@ __all__ = [
     "EventFanout",
     "EventStream",
     "StreamRead",
-    "Subscription",
     "Slice",
     "Span",
     "SpanCollector",

@@ -13,10 +13,13 @@ strictly increasing within one run), ``ts`` (wall-clock seconds) and
 * ``job_retried``  — an attempt ended ``failed`` or ``timeout`` and
   the job will run again;
 * ``job_finished`` — the job's final status (``cached`` for a cache
-  hit), its attempts, wall, queue-wait and compute seconds, and (when
-  span collection is on) the worker's span summary (see
+  hit) and error, its attempts, wall, queue-wait and compute seconds,
+  and the worker's span summary, if it made one (see
   :data:`repro.obs.spans.SPAN_SUMMARY_SCHEMA`);
-* ``run_finished`` — one count per final status and the duration.
+* ``run_finished`` — one count per final status and the duration;
+  engine runs and servers alike add the run's throughput, cache-hit
+  rate, worker utilization and retries
+  (:class:`repro.engine.journal.RunJournal`).
 
 The log is observability output, not a store: replaying it does not
 reconstruct reports (the run store does that).  The job-metric
@@ -30,21 +33,20 @@ Two consumers beyond the file writer:
   tolerating the truncated trailing line a live reader sees when it
   races a writer mid-flush (the partial tail is reported, never
   parsed as garbage);
-* :class:`EventFanout` — fan one live event stream out to N
-  subscribers (queues or callbacks) plus any number of file sinks;
-  engine runs and the ``repro serve`` server emit through one, and the
-  server feeds every ``repro watch`` client from it.
+* :class:`EventFanout` — fan one live event stream out to N callback
+  subscribers plus any number of file sinks; engine runs and the
+  ``repro serve`` server emit through one, and the server feeds every
+  ``repro watch`` client from it.
 """
 
 from __future__ import annotations
 
 import json
-import queue
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Optional, Union
+from typing import Callable, Dict, List, Optional, Union
 
 #: Fields each event kind carries beyond ``kind``, ``seq``, ``ts`` and
 #: ``run_id``, in lifecycle order of the kinds.
@@ -213,102 +215,31 @@ def validate_stream(events: List[Dict]) -> List[str]:
     return problems
 
 
-class Subscription:
-    """One live subscriber of an :class:`EventFanout`.
-
-    Queue-backed with a bound: a subscriber that stops draining loses
-    *newest* events past the bound (counted in :attr:`dropped`) instead
-    of stalling the producer — a slow watcher must never hold up the
-    scheduler.  Iterating yields events until the fan-out closes.
-    """
-
-    _CLOSE = object()
-
-    def __init__(self, maxsize: int) -> None:
-        self._queue: "queue.Queue" = queue.Queue(maxsize=maxsize)
-        self.dropped = 0
-        self.closed = False
-
-    def _deliver(self, record: Dict) -> None:
-        try:
-            self._queue.put_nowait(record)
-        except queue.Full:
-            self.dropped += 1
-
-    def _close(self) -> None:
-        self.closed = True
-        try:
-            self._queue.put_nowait(self._CLOSE)
-        except queue.Full:
-            # No room for the sentinel: consumers still terminate — the
-            # ``closed`` flag ends iteration once the queue drains, so
-            # every already-delivered event is still read.
-            pass
-
-    def get(self, timeout: Optional[float] = None) -> Optional[Dict]:
-        """Next event, or None on close/timeout."""
-        try:
-            item = self._queue.get(timeout=timeout)
-        except queue.Empty:
-            return None
-        if item is self._CLOSE:
-            return None
-        return item
-
-    def __iter__(self) -> Iterator[Dict]:
-        while True:
-            try:
-                item = self._queue.get(timeout=0.05)
-            except queue.Empty:
-                if self.closed:
-                    return
-                continue
-            if item is self._CLOSE:
-                return
-            yield item
-
-
 class EventFanout:
     """Fan one live event stream out to N subscribers and file sinks.
 
     A single ``emit()`` point stamps the shared ``seq`` and delivers
-    the record to every attached :class:`EventStream` file, every
-    queue-backed :class:`Subscription`, and every callback subscriber.
-    The retained ``run_started`` event is replayed to late subscribers
-    so every consumer sees the run bracketing regardless of join time.
-    Thread-safe: the serve scheduler emits from its event loop while
-    watch connections subscribe/unsubscribe concurrently.
+    the record to every attached :class:`EventStream` file and every
+    callback subscriber.  The retained ``run_started`` event is
+    replayed to late subscribers so every consumer sees the run
+    bracketing regardless of join time.  Thread-safe: the serve
+    scheduler emits from its event loop while watch connections
+    subscribe/unsubscribe concurrently.
     """
 
-    def __init__(self, *, maxsize: int = 1024) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._seq = 0
         self._streams: List[EventStream] = []
-        self._subscriptions: List[Subscription] = []
         self._callbacks: List[Callable[[Dict], None]] = []
         self._retained_start: Optional[Dict] = None
-        self._maxsize = maxsize
         self._closed = False
-        self._dropped_detached = 0
 
     @property
     def subscribers(self) -> int:
-        """Live subscriber count (queues + callbacks)."""
+        """Live subscriber count."""
         with self._lock:
-            return len(self._subscriptions) + len(self._callbacks)
-
-    @property
-    def dropped(self) -> int:
-        """Lifetime count of events lost to bounded subscriber queues.
-
-        Sums the live subscriptions' drop counts plus those of every
-        subscriber that has since detached, so the total survives
-        subscriber churn (``/stats`` exposes it as ``dropped_events``).
-        """
-        with self._lock:
-            return self._dropped_detached + sum(
-                subscription.dropped for subscription in self._subscriptions
-            )
+            return len(self._callbacks)
 
     def attach(self, stream: EventStream) -> "EventFanout":
         """Add a file sink; every future event is appended to it."""
@@ -317,41 +248,26 @@ class EventFanout:
         return self
 
     def subscribe(
-        self,
-        callback: Optional[Callable[[Dict], None]] = None,
-        *,
-        replay: bool = True,
-    ):
-        """Add a live subscriber; returns its handle.
+        self, callback: Callable[[Dict], None], *, replay: bool = True
+    ) -> Callable[[Dict], None]:
+        """Add a live subscriber; returns its handle (the callback).
 
-        With no ``callback`` a queue-backed :class:`Subscription` is
-        returned; with one, the callback itself is the handle and is
-        invoked synchronously under ``emit`` (keep it non-blocking —
-        e.g. ``loop.call_soon_threadsafe``).  ``replay=True`` first
-        delivers the retained ``run_started`` event, if any.
+        The callback is invoked synchronously under ``emit`` (keep it
+        non-blocking — e.g. ``loop.call_soon_threadsafe``).
+        ``replay=True`` first delivers the retained ``run_started``
+        event, if any.
         """
         with self._lock:
             retained = self._retained_start if replay else None
-            if callback is not None:
-                self._callbacks.append(callback)
-                handle = callback
-            else:
-                handle = Subscription(self._maxsize)
-                self._subscriptions.append(handle)
+            self._callbacks.append(callback)
         if retained is not None:
-            if callback is not None:
-                callback(retained)
-            else:
-                handle._deliver(retained)
-        return handle
+            callback(retained)
+        return callback
 
-    def unsubscribe(self, handle) -> None:
+    def unsubscribe(self, handle: Callable[[Dict], None]) -> None:
         """Detach a subscriber (idempotent)."""
         with self._lock:
-            if handle in self._subscriptions:
-                self._dropped_detached += handle.dropped
-                self._subscriptions.remove(handle)
-            elif handle in self._callbacks:
+            if handle in self._callbacks:
                 self._callbacks.remove(handle)
 
     def emit(self, kind: str, **fields) -> Dict:
@@ -364,32 +280,22 @@ class EventFanout:
             if kind == "run_started":
                 self._retained_start = record
             streams = list(self._streams)
-            subscriptions = list(self._subscriptions)
             callbacks = list(self._callbacks)
         for stream in streams:
             stream.write(record)
-        for subscription in subscriptions:
-            subscription._deliver(record)
         for callback in callbacks:
             callback(record)
         return record
 
     def close(self) -> None:
-        """Close every subscription and file sink (idempotent)."""
+        """Detach every subscriber and close every file sink (idempotent)."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             streams = list(self._streams)
-            subscriptions = list(self._subscriptions)
-            self._dropped_detached += sum(
-                subscription.dropped for subscription in subscriptions
-            )
             self._streams.clear()
-            self._subscriptions.clear()
             self._callbacks.clear()
-        for subscription in subscriptions:
-            subscription._close()
         for stream in streams:
             stream.close()
 
@@ -400,7 +306,6 @@ __all__ = [
     "EventFanout",
     "EventStream",
     "StreamRead",
-    "Subscription",
     "read_stream",
     "read_stream_partial",
     "validate_stream",

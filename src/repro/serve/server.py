@@ -25,11 +25,13 @@ no matter how many clients ask for it concurrently:
    to the pool (not when it was admitted), failed attempts retry with
    backoff, and a stuck worker or a broken executor restarts the pool.
 
-Completions persist exactly like engine runs do — a cache entry and a
-sharded store record per job, one ``.stats`` sidecar when the run ends.
-Every lifecycle transition is one run event in the engine's schema
-(:mod:`repro.obs.stream`), fanned out to every ``/events`` subscriber
-and folded into the job metrics as it is emitted.  Reports are
+Completions persist through the engine's
+:class:`~repro.engine.journal.RunJournal`, exactly like engine runs — a
+cache entry and a sharded store record per job, one ``.stats`` sidecar
+when the run ends.  Every lifecycle transition is one run event in the
+engine's schema (:mod:`repro.obs.stream`), fanned out to every
+``/events`` subscriber and folded into the job metrics as it is
+emitted.  Reports are
 byte-identical to CLI runs of the same request: workers execute the
 same ``execute_request`` path and serialize with the same canonical
 encoder.
@@ -39,7 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import sys
 import threading
 import time
 from collections import deque
@@ -49,17 +50,15 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from repro.engine.cache import ResultCache
-from repro.engine.executor import RunResult
 from repro.engine.jobs import RunRequest
+from repro.engine.journal import RunJournal
 from repro.engine.lifecycle import Finish, Lifecycle, Restart, Submission
 from repro.engine.pool import WorkerPool, _pool_supported, returned
 from repro.engine.shards import ShardedRunStore
-from repro.engine.stats import StatsAccumulator
-from repro.engine.store import RunStore, make_record, new_run_id
+from repro.engine.store import RunStore, new_run_id
 from repro.obs import telemetry
 from repro.obs.expo import CONTENT_TYPE as _METRICS_CONTENT_TYPE
 from repro.obs.expo import render_exposition
-from repro.obs.stream import EventFanout, EventStream
 from repro.serve.protocol import (
     API_VERSION,
     ProtocolError,
@@ -71,6 +70,11 @@ from repro.serve.state import Job, ServerCounters, TokenBucket
 
 #: with a cache byte budget, enforce it every this many executions
 PRUNE_EVERY = 32
+
+#: events an ``/events`` watcher may fall behind by; past this bound a
+#: stalled watcher loses the newest events (counted as dropped) instead
+#: of growing the server's memory
+EVENT_QUEUE_MAX = 1024
 
 _REASONS = {
     200: "OK",
@@ -125,7 +129,6 @@ class ServeApp:
         self.config = config or ServeConfig()
         self.run_id = new_run_id()
         self.counters = ServerCounters()
-        self.fanout = EventFanout()
         self.jobs: Dict[str, Job] = {}
         # each app owns its registry (not the process-global one) so
         # GET /metrics describes exactly this server instance even with
@@ -139,15 +142,24 @@ class ServeApp:
             else None
         )
         self.store = self._open_store(self.config.store)
-        if self.config.stream is not None:
-            self.fanout.attach(EventStream(self.config.stream))
+        # the sidecar keeps the newest 256 per-job rows; its aggregates
+        # cover the server's whole lifetime
+        self.journal = RunJournal(
+            self.run_id,
+            telemetry.JobMetrics(self.telemetry, "repro_serve"),
+            cache=self.cache,
+            store=self.store,
+            stream=self.config.stream,
+            workers=self.config.workers,
+            keep_jobs=256,
+        )
+        self.fanout = self.journal.fanout
+        #: events lost to watchers' full queues (``/stats`` ``dropped_events``)
+        self._dropped_events = 0
         self.limiter = (
             TokenBucket(self.config.rate_limit, self.config.rate_burst)
             if self.config.rate_limit is not None
             else None
-        )
-        self._stats_acc = StatsAccumulator(
-            self.run_id, workers=self.config.workers
         )
         config = self.config
         # keyed by request hash: at most one open job per hash
@@ -211,14 +223,13 @@ class ServeApp:
             "repro_serve_queue_depth",
             "Admitted jobs executing or awaiting a dispatch slot.",
         )
-        self._job_metrics = telemetry.JobMetrics(registry, "repro_serve")
         self._m_subscribers = registry.gauge(
             "repro_serve_subscribers",
             "Live event-stream subscribers.",
         )
         self._m_dropped = registry.counter(
             "repro_serve_events_dropped_total",
-            "Events lost to bounded subscriber queues.",
+            "Events dropped past a stalled /events watcher's queue bound.",
         )
         self._m_restarts = registry.counter(
             "repro_serve_pool_restarts_total",
@@ -255,7 +266,7 @@ class ServeApp:
         self._m_dedupe_rate.set(counters["dedupe_hit_rate"])
         self._m_queue_depth.set(self._active())
         self._m_subscribers.set(self.fanout.subscribers)
-        self._m_dropped.set(self.fanout.dropped)
+        self._m_dropped.set(self._dropped_events)
         self._m_restarts.set(max(0, self.pool.generation - 1))
 
     @classmethod
@@ -296,7 +307,7 @@ class ServeApp:
         self.address = sock.getsockname()[:2]
         if on_bound is not None:
             on_bound(self.address)
-        self._emit("run_started", workers=self.config.workers, server="repro-serve")
+        self.journal.emit("run_started", workers=self.config.workers, server="repro-serve")
         if ready is not None:
             ready.set()
         try:
@@ -315,29 +326,11 @@ class ServeApp:
             await asyncio.sleep(0.05)
 
     def _finalize(self) -> None:
-        # the accumulator, not self.jobs: done jobs may have been
-        # evicted from memory but still count toward the lifetime tally
-        counts = {"ok": 0, "failed": 0, "timeout": 0, "cached": 0}
-        for status, n in self._stats_acc.status_counts.items():
-            if status in counts:
-                counts[status] = n
-        self._emit(
-            "run_finished", duration_s=time.monotonic() - self._started_at, **counts
-        )
-        # the run's one sidecar, written when it ends as an engine
-        # run's is; until then (or if this write fails) `engine stats`
-        # and `engine check` recompute the run from its store records
+        # the run's one sidecar and run_finished, as an engine run ends;
+        # until then `engine stats` and `engine check` recompute the run
+        # from its store records
         try:
-            if self.store is not None and self._stats_acc.n_jobs:
-                stats = self._stats_acc.snapshot(
-                    duration_s=time.monotonic() - self._started_at,
-                )
-                self.store.write_stats(self.run_id, stats.to_dict())
-        except OSError as exc:
-            print(
-                f"repro serve: stats sidecar not written: {exc}",
-                file=sys.stderr,
-            )
+            self.journal.close(time.monotonic() - self._started_at)
         finally:
             self.fanout.close()
             self.pool.shutdown(wait=False)
@@ -509,7 +502,7 @@ class ServeApp:
             "active": self._active(),
             "max_queue": self.config.max_queue,
             "subscribers": self.fanout.subscribers,
-            "dropped_events": self.fanout.dropped,
+            "dropped_events": self._dropped_events,
             "workers": self.pool.workers,
             "pool_generation": self.pool.generation,
             "store": str(self.config.store) if self.config.store else None,
@@ -672,7 +665,10 @@ class ServeApp:
         )
         self._job_index += 1
         self.jobs[request_hash] = job
-        self._record(job)
+        job.error = self.journal.record(
+            request, status="cached", report=job.report_record, index=job.index
+        )
+        self._remember(job)
         return job
 
     # -- execution ------------------------------------------------------
@@ -690,7 +686,7 @@ class ServeApp:
                 ((request_hash, attempt),) = sub.members
                 job = self.jobs[request_hash]
                 job.state = "running"
-                self._emit("job_started", job, attempt=attempt, batch=1)
+                self.journal.emit("job_started", job.request, attempt=attempt, batch=1)
                 # workers always return a span summary: it rides in the
                 # job payload, the job_finished event and the sidecar
                 sub.handle = asyncio.ensure_future(
@@ -726,22 +722,20 @@ class ServeApp:
             elif isinstance(action, Finish):
                 self._complete(action)
             else:
-                self._emit(
+                self.journal.emit(
                     "job_retried",
-                    self.jobs[action.key],
+                    self.jobs[action.key].request,
                     attempt=action.attempt,
                     status=action.status,
                     error=action.error,
                 )
 
     def _complete(self, finish: Finish) -> None:
-        """Persist a finished job, then release its waiters.
+        """Record a finished job through the journal, then release its waiters.
 
         Runs however the job ended, at shutdown too: riders of a job
-        that never reaches "done" would wait forever.  A failed cache
-        write (a full disk) costs only the cache entry: the job keeps
-        its status, its error names the failed write, and it is still
-        stored, folded into the run's stats and announced.
+        that never reaches "done" would wait forever, so no exception
+        here may skip the release.
         """
         config = self.config
         job = self.jobs[finish.key]
@@ -753,13 +747,14 @@ class ServeApp:
             job.report_record = finish.result["report"]
             job.spans = finish.result.get("spans")
         job.state = "done"
-        if finish.result is not None and self.cache is not None:
-            try:
-                self.cache.put_report(job.request, job.report_record, finish.wall_s)
-            except OSError as exc:
-                job.error = job.error or f"cache write failed: {exc}"
         try:
-            self._record(job, queue_wait=finish.queue_wait_s, compute=finish.compute_s)
+            job.error = self.journal.executed(
+                job.request, status=job.status, report=job.report_record,
+                error=job.error, attempts=job.attempts, wall_time_s=job.wall_time_s,
+                queue_wait_s=finish.queue_wait_s, compute_time_s=finish.compute_s,
+                spans=job.spans, index=job.index,
+            )
+            self._remember(job)
             if (
                 self.cache is not None
                 and config.cache_max_bytes is not None
@@ -773,60 +768,15 @@ class ServeApp:
         if job.future is not None and not job.future.done():
             job.future.set_result(job)
 
-    # -- persistence + events -------------------------------------------
-    def _emit(self, kind: str, job: Optional[Job] = None, **fields) -> None:
-        """Emit one run event and fold it into the job metrics."""
-        if job is not None:
-            fields["benchmark"] = job.request.benchmark
-            fields["request_hash"] = job.request_hash
-        try:
-            record = self.fanout.emit(kind, run_id=self.run_id, **fields)
-        except RuntimeError:  # pragma: no cover - closed during shutdown
-            return
-        self._job_metrics.fold(record)
-
-    def _record(
-        self, job: Job, *, queue_wait: float = 0.0, compute: float = 0.0
-    ) -> None:
-        """Persist one finished job and announce it to subscribers."""
-        result = RunResult(
-            request=job.request,
-            status=job.status,
-            report=None,
-            report_record=job.report_record,
-            error=job.error,
-            attempts=job.attempts,
-            wall_time_s=job.wall_time_s,
-            index=job.index,
-            queue_wait_s=queue_wait,
-            compute_time_s=compute,
-            spans=job.spans,
-        )
-        self._stats_acc.add(result)
-        self._emit(
-            "job_finished",
-            job,
-            status=job.status,
-            attempts=job.attempts,
-            wall_time_s=job.wall_time_s,
-            queue_wait_s=queue_wait,
-            compute_time_s=compute,
-            error=job.error,
-            spans=job.spans,
-        )
-        self._done_order.append(job.request_hash)
-        self._evict_done()
-        if self.store is not None:
-            self.store.append(make_record(self.run_id, result))
-
-    def _evict_done(self) -> None:
-        """Bound completed-job memory: drop the oldest done jobs.
+    def _remember(self, job: Job) -> None:
+        """Keep a done job in memory, evicting the oldest done jobs.
 
         Only the in-memory :class:`Job` (with its report dictionary)
         goes; the store record and cache entry survive, so an evicted
         hash is still answered — from the disk cache on ``/result``
         and ``/submit``, or by re-execution when uncached.
         """
+        self._done_order.append(job.request_hash)
         limit = max(0, self.config.max_done_jobs)
         while len(self._done_order) > limit:
             request_hash = self._done_order.popleft()
@@ -869,10 +819,10 @@ class ServeApp:
                 writer, 400, error_payload(f"bad count {query['count']!r}")
             )
             return
-        events: "asyncio.Queue" = asyncio.Queue()
+        events: "asyncio.Queue" = asyncio.Queue(EVENT_QUEUE_MAX)
         loop = self._loop
         handle = self.fanout.subscribe(
-            lambda record: loop.call_soon_threadsafe(events.put_nowait, record)
+            lambda record: loop.call_soon_threadsafe(self._offer, events, record)
         )
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
@@ -902,6 +852,13 @@ class ServeApp:
             pass
         finally:
             self.fanout.unsubscribe(handle)
+
+    def _offer(self, events: "asyncio.Queue", record: Dict) -> None:
+        """Queue one event for a watcher; past the bound, drop and count it."""
+        try:
+            events.put_nowait(record)
+        except asyncio.QueueFull:
+            self._dropped_events += 1
 
 
 class ServerThread:

@@ -52,21 +52,16 @@ def run_suite(
     names: Optional[Iterable[str]] = None,
     params: Optional[Dict[str, Dict]] = None,
 ) -> Dict[str, PerfReport]:
-    """Run many benchmarks, one fresh session each.
+    """Run many benchmarks in process, one fresh session each.
 
     ``session_factory`` is a zero-argument callable returning a new
     :class:`Session` (e.g. ``lambda: Session(cm5(32))``); ``params``
-    maps benchmark name to parameter overrides.
-
-    This is a thin wrapper over :mod:`repro.engine` in serial
-    in-process mode: exceptions propagate and no cache/store is
-    involved, preserving the historical contract.  Use the engine
-    directly for parallel, cached or persisted runs.
+    maps benchmark name to parameter overrides; ``names`` defaults to
+    every registered benchmark.  Exceptions propagate.  Use
+    :mod:`repro.engine` for parallel, cached or persisted runs.
     """
-    from repro.engine.executor import Engine, EngineConfig
-    from repro.engine.plan import plan_suite
-
-    requests = plan_suite(names=names, params=params)
-    engine = Engine(EngineConfig(jobs=1, raise_on_error=True))
-    results = engine.run(requests, session_factory=session_factory)
-    return {result.request.benchmark: result.report for result in results}
+    params = params or {}
+    return {
+        name: run_benchmark(name, session_factory(), **params.get(name, {}))
+        for name in (REGISTRY if names is None else names)
+    }

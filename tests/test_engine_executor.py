@@ -13,7 +13,6 @@ from repro import Session, cm5
 from repro.engine import (
     Engine,
     EngineConfig,
-    InjectedFailure,
     RunStore,
     plan_suite,
 )
@@ -151,13 +150,6 @@ class TestFaultTolerance:
         assert _parse_injection("*:1,fft:3", "lu") == 1.0
         assert _parse_injection("*,fft:3", "fft") == 3.0
 
-    def test_injected_failure_raises_in_raise_mode(self, monkeypatch):
-        monkeypatch.setenv(ENV_INJECT_FAIL, "fft")
-        with pytest.raises(InjectedFailure):
-            run_suite(
-                lambda: Session(cm5(32)), ["fft"], params=SUBSET_PARAMS
-            )
-
 
 class TestBackoffScheduling:
     def test_sibling_timeout_fires_during_backoff(self):
@@ -203,17 +195,24 @@ class TestBackoffScheduling:
 
 
 class TestIncrementalPersistence:
-    def test_killed_run_keeps_finished_jobs(self, tmp_path, monkeypatch):
+    def test_killed_run_keeps_finished_jobs(self, tmp_path):
         """Acceptance: a run that dies mid-way loses no finished work.
 
-        ``raise_on_error`` propagates the second job's failure out of
-        ``run()`` — the in-process equivalent of a kill — and the
-        first job's record must already be durable in the store.
+        A ``progress`` callback that raises on the first finished job
+        propagates out of ``run()`` — the in-process equivalent of a
+        kill — and that job's record must already be durable in the
+        store.
         """
-        monkeypatch.setenv(ENV_INJECT_FAIL, "lu")
+
+        class Killed(Exception):
+            pass
+
+        def kill(result):
+            raise Killed(result.request.benchmark)
+
         store_path = tmp_path / "runs.jsonl"
-        engine = Engine(EngineConfig(store=store_path, raise_on_error=True))
-        with pytest.raises(InjectedFailure):
+        engine = Engine(EngineConfig(store=store_path), progress=kill)
+        with pytest.raises(Killed):
             engine.run(plan_suite(["fft", "lu"], params=SUBSET_PARAMS))
         records = RunStore(store_path).records()
         assert [r["benchmark"] for r in records] == ["fft"]
@@ -251,7 +250,10 @@ class TestIncrementalPersistence:
         names = SUBSET + ["diff-1d", "n-body", "transpose"]
         requests = plan_suite(names, params=SMALL_PARAMS)
         store_path, cache = tmp_path / "runs.jsonl", tmp_path / "cache"
-        config = EngineConfig(jobs=jobs, store=store_path, cache_dir=cache)
+        stream = tmp_path / "events.jsonl"
+        config = EngineConfig(
+            jobs=jobs, store=store_path, cache_dir=cache, stream=stream
+        )
         results = Engine(config).run(requests)
         assert [r.status for r in results] == ["ok"] * 8
         unwritten = written[2]
@@ -264,6 +266,12 @@ class TestIncrementalPersistence:
         records = RunStore(store_path).records()
         assert sorted(r["benchmark"] for r in records) == sorted(names)
         assert {r["benchmark"] for r in records if r["error"]} == {unwritten}
+        errors = {
+            e["benchmark"]: e["error"]
+            for e in read_stream(stream, strict=True)
+            if e["kind"] == "job_finished"
+        }
+        assert errors == {r.request.benchmark: r.error for r in results}
         monkeypatch.setattr(ResultCache, "put_report", put_report)
         rerun = Engine(EngineConfig(cache_dir=cache)).run(requests)
         assert {r.request.benchmark for r in rerun if r.status == "ok"} == {

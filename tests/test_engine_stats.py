@@ -50,27 +50,27 @@ def run_with_store(tmp_path, **config):
 
 
 class TestStatsAccumulator:
-    """The serve layer's incremental aggregator must match the batch
-    ``stats_from_results`` fold over the same results."""
+    """A run's incremental fold of its ``job_finished`` events must
+    match the batch ``stats_from_results`` fold over the same results."""
 
     def test_matches_batch_aggregation(self, tmp_path):
-        from repro.engine.stats import StatsAccumulator, stats_from_results
+        from repro.engine.stats import stats_from_results
 
-        _, results, _ = run_with_store(tmp_path)
-        acc = StatsAccumulator("run", workers=1)
-        for result in results:
-            acc.add(result)
-        snapshot = acc.snapshot(duration_s=2.0)
-        batch = stats_from_results("run", results, workers=1, duration_s=2.0)
-        assert snapshot.to_dict() == batch.to_dict()
+        engine, results, _ = run_with_store(tmp_path)
+        live = engine.last_run_stats
+        batch = stats_from_results(
+            live.run_id, results, workers=live.workers,
+            duration_s=live.duration_s, phases=live.phases,
+        )
+        assert live.to_dict() == batch.to_dict()
 
     def test_keep_jobs_truncates_only_the_job_table(self, tmp_path):
         from repro.engine.stats import StatsAccumulator
 
-        _, results, _ = run_with_store(tmp_path)
+        _, _, store = run_with_store(tmp_path)
         acc = StatsAccumulator("run", workers=1, keep_jobs=1)
-        for result in results:
-            acc.add(result)
+        for record in store.records():
+            acc.add(record, record["report"])
         snapshot = acc.snapshot(duration_s=1.0)
         # only the newest per-job row is retained ...
         assert len(snapshot.jobs) == 1
@@ -249,7 +249,9 @@ class TestSidecarSchemaTolerance:
         assert "Sim busy (s)" in table
 
     def test_engine_span_run_sidecar_has_spans(self, tmp_path):
-        engine, results, store = run_with_store(tmp_path, spans=True)
+        engine, results, store = run_with_store(
+            tmp_path, stream=tmp_path / "events.jsonl"
+        )
         assert all(r.spans is not None for r in results)
         sidecar = store.read_stats("latest")
         rebuilt = RunStats.from_dict(sidecar)

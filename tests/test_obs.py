@@ -447,7 +447,7 @@ class TestEngineIntegration:
         return engine, results, store
 
     def test_serial_span_collection_reconciles(self, tmp_path):
-        _, results, _ = self.run_engine(tmp_path, spans=True)
+        _, results, _ = self.run_engine(tmp_path, stream=tmp_path / "e.jsonl")
         for result in results:
             assert result.spans is not None
             assert result.spans["schema"] == SPAN_SUMMARY_SCHEMA
@@ -455,14 +455,16 @@ class TestEngineIntegration:
             assert result.spans["busy_time_s"] == result.report.busy_time
 
     def test_pool_workers_forward_span_summaries(self, tmp_path):
-        _, results, _ = self.run_engine(tmp_path, spans=True, jobs=2)
+        _, results, _ = self.run_engine(
+            tmp_path, stream=tmp_path / "e.jsonl", jobs=2
+        )
         for result in results:
             assert result.spans is not None
             assert result.spans["flop_count"] == result.report.flop_count
 
     def test_span_runs_report_identically_to_plain_runs(self, tmp_path):
         _, plain, _ = self.run_engine(tmp_path / "a")
-        _, traced, _ = self.run_engine(tmp_path / "b", spans=True)
+        _, traced, _ = self.run_engine(tmp_path / "b", stream=tmp_path / "e.jsonl")
         for p, t in zip(plain, traced):
             assert canonical_report_json(
                 report_to_dict(p.report)
@@ -470,9 +472,7 @@ class TestEngineIntegration:
 
     def test_stream_lifecycle(self, tmp_path):
         events_path = tmp_path / "events.jsonl"
-        _, results, _ = self.run_engine(
-            tmp_path, stream=events_path, spans=True
-        )
+        _, results, _ = self.run_engine(tmp_path, stream=events_path)
         events = read_stream(events_path)
         assert events[0]["kind"] == "run_started"
         assert events[0]["n_jobs"] == len(SUBSET)
@@ -484,24 +484,6 @@ class TestEngineIntegration:
             assert event["status"] == "ok"
             assert event["spans"]["schema"] == SPAN_SUMMARY_SCHEMA
         assert [e["seq"] for e in events] == list(range(len(events)))
-
-    def test_stream_implies_span_collection(self, tmp_path):
-        # A live stream is only useful with span summaries on board, so
-        # EngineConfig.stream turns collection on even without spans=True.
-        assert EngineConfig(stream=tmp_path / "e.jsonl").collect_spans
-        assert EngineConfig(spans=True).collect_spans
-        assert not EngineConfig().collect_spans
-        events_path = tmp_path / "events.jsonl"
-        _, results, _ = self.run_engine(tmp_path, stream=events_path)
-        assert all(r.spans is not None for r in results)
-        finished = [
-            e for e in read_stream(events_path)
-            if e["kind"] == "job_finished"
-        ]
-        assert finished
-        assert all(
-            e["spans"]["schema"] == SPAN_SUMMARY_SCHEMA for e in finished
-        )
 
 
 # ----------------------------------------------------------------------

@@ -255,6 +255,38 @@ class TestEventStreaming:
         # both watchers got the identical job records
         assert seen[0][1:] == seen[1][1:]
 
+    def test_stalled_watcher_drops_past_the_bound_and_counts(self):
+        """A watcher that stops reading holds at most EVENT_QUEUE_MAX
+        events: the oldest are kept, the newest past the bound are
+        dropped, and /stats and /metrics count them."""
+        from repro.obs.expo import parse_exposition, series_value
+        from repro.serve.server import EVENT_QUEUE_MAX
+
+        thread = ServerThread(ServeConfig(port=0, workers=1, warmup=False))
+        with thread as (host, port):
+            app, client = thread.app, ServeClient(host, port)
+            watch = client.watch(timeout=60)
+            assert next(watch)["kind"] == "run_started"  # subscribed
+            burst, emitted = EVENT_QUEUE_MAX + 100, threading.Event()
+
+            def emit_burst() -> None:
+                # one loop callback: the watcher reads nothing meanwhile
+                for attempt in range(burst):
+                    app.fanout.emit(
+                        "job_started", run_id=app.run_id, benchmark="fft",
+                        request_hash="ab" * 32, attempt=attempt, batch=1,
+                    )
+                emitted.set()
+
+            app._loop.call_soon_threadsafe(emit_burst)
+            assert emitted.wait(timeout=30)
+            assert client.stats()["dropped_events"] == 100
+            families = parse_exposition(client.metrics())
+            assert series_value(families, "repro_serve_events_dropped_total") == 100
+            kept = [next(watch)["attempt"] for _ in range(EVENT_QUEUE_MAX)]
+            assert kept == list(range(EVENT_QUEUE_MAX))
+            watch.close()
+
     def test_stream_file_sink_written_and_valid(self, server):
         host, port, tmp = server
         events = read_stream(tmp / "events.jsonl")
@@ -632,13 +664,15 @@ class TestPersistence:
             job = ServeClient(host, port).submit(SMALL)["job"]
         assert job["status"] == "ok"
         assert job["error"].startswith("cache write failed")
-        assert thread.app._stats_acc.n_jobs == 1
+        assert thread.app.journal.stats.n_jobs == 1
         (record,) = open_store(tmp_path / "runs").records()
         assert record["status"] == "ok"
         assert record["error"] == job["error"]
-        assert [e["kind"] for e in read_stream(stream)] == [
+        events = read_stream(stream)
+        assert [e["kind"] for e in events] == [
             "run_started", "job_started", "job_finished", "run_finished",
         ]
+        assert events[2]["error"] == job["error"]
 
     def test_store_readable_by_engine_cli_layer(self, server):
         host, port, tmp = server
