@@ -4,11 +4,12 @@
 may see the final line mid-flush — that tail is reported, never parsed
 as garbage and never confused with real mid-file corruption.  And the
 ``EventFanout`` contract the serve layer uses: one emission point,
-N subscribers, retained ``run_started`` replay, bounded queues that
-drop instead of stalling the producer.
+N subscribers, retained ``run_started`` replay, and subscribers that
+stop receiving once unsubscribed.
 """
 
 import json
+import queue
 import threading
 
 import pytest
@@ -218,6 +219,23 @@ class TestEventFanout:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown stream event kind"):
             EventFanout().emit("job_exploded")
+
+    def test_unsubscribed_queue_stops_receiving(self):
+        # a queue fed by its put_nowait, the form /events watchers use
+        fanout = EventFanout()
+        events = queue.Queue()
+        handle = fanout.subscribe(events.put_nowait)
+        fanout.emit("run_started", run_id="r")
+        fanout.unsubscribe(handle)
+        assert fanout.subscribers == 0
+        fanout.emit(
+            "job_finished", benchmark="b", status="ok",
+            request_hash="ef" * 32,
+        )
+        fanout.close()
+        # only the event delivered while subscribed
+        assert events.get_nowait()["kind"] == "run_started"
+        assert events.empty()
 
     def test_callback_subscribers_invoked_inline(self):
         fanout = EventFanout()
