@@ -224,9 +224,9 @@ class Engine:
             )
             self._pool_phases = {}
             if use_pool:
-                journal.stats.workers = self._run_pool(pending)
+                workers = self._run_pool(pending)
             else:
-                journal.stats.workers = 1
+                workers = 1
                 if pending:
                     self._run_serial(pending)
 
@@ -238,7 +238,7 @@ class Engine:
             phases.update(self._pool_phases)
             if pruned:
                 phases["cache_pruned_files"] = float(pruned)
-            self.last_run_stats = journal.close(now - started, phases)
+            self.last_run_stats = journal.close(now - started, workers, phases)
             return [r for r in results if r is not None]
         finally:
             # a killed run ends without run_finished, but its stream closes

@@ -47,8 +47,7 @@ class RunJournal:
 
     def __init__(
         self, run_id: str, metrics: JobMetrics, *, cache=None, store=None,
-        stream: Optional[Union[str, Path]] = None, workers: Optional[int] = None,
-        keep_jobs: Optional[int] = None,
+        stream: Optional[Union[str, Path]] = None, keep_jobs: Optional[int] = None,
     ) -> None:
         self.run_id = run_id
         self.metrics = metrics
@@ -57,7 +56,7 @@ class RunJournal:
         self.fanout = EventFanout()
         if stream is not None:
             self.fanout.attach(EventStream(stream))
-        self.stats = StatsAccumulator(run_id, workers=workers, keep_jobs=keep_jobs)
+        self.stats = StatsAccumulator(run_id, keep_jobs=keep_jobs)
 
     def emit(self, kind: str, request: Optional[RunRequest] = None, **fields) -> Dict:
         """Emit one run event, then fold it into the job metrics."""
@@ -108,18 +107,19 @@ class RunJournal:
                 )
             except OSError as exc:
                 job["error"] = error or f"store append failed: {exc}"
-        self.stats.add(self.emit("job_finished", request, spans=spans, **job), report)
+        self.stats.add(self.emit("job_finished", request, spans=spans, **job), report, index=index)
         return job["error"]
 
     def close(
-        self, duration_s: float, phases: Optional[Mapping[str, float]] = None
+        self, duration_s: float, workers: int, phases: Optional[Mapping[str, float]] = None
     ) -> RunStats:
-        """End the run: its stats, its sidecar and ``run_finished``.
+        """End the run of ``workers`` workers: its stats, sidecar and ``run_finished``.
 
         A failed sidecar write is reported on stderr and costs only the
         sidecar: ``engine stats`` recomputes the run from its records.
         Closes the event log and returns the run's stats.
         """
+        self.stats.workers = workers
         stats = self.stats.snapshot(duration_s=duration_s, phases=phases)
         if self.store is not None:
             try:

@@ -28,7 +28,10 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import asdict, dataclass, field, fields
+from operator import itemgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from repro.engine.store import keyed_by_benchmark
 
 #: Stats sidecar schema version.  Version 2 adds per-job ``spans``
 #: summaries (repro.obs).  Readers are tolerant: unknown keys from
@@ -305,7 +308,9 @@ class StatsAccumulator:
     journal (:class:`~repro.engine.journal.RunJournal`) folds each
     ``job_finished`` event as it is emitted and calls :meth:`snapshot`
     once, when the run ends, for the run's one sidecar; a stored run
-    folds its records (:func:`stats_from_records`).  ``keep_jobs``
+    folds its records (:func:`stats_from_records`).  Jobs may be folded
+    in any order (a cache hit before an executed job, pool completion
+    order); :meth:`snapshot` lists them in plan order.  ``keep_jobs``
     bounds the per-job rows kept for the sidecar table to the newest
     ones (None keeps all), so a server does not hold every job until
     shutdown; every aggregate covers everything added.
@@ -328,19 +333,24 @@ class StatsAccumulator:
         self.queue_wait_max_s = 0.0
         self.compute_total_s = 0.0
         self.compute_max_s = 0.0
-        self.benchmarks: Dict[str, Dict[str, float]] = {}
-        self._bench_counts: Dict[str, int] = {}
-        self.jobs: "deque[JobStats]" = deque(
+        #: (order, {"benchmark", "metrics"}) per job; order is (plan index, fold position)
+        self._measured: List[Tuple[Tuple[int, int], Dict]] = []
+        self.jobs: "deque[Tuple[Tuple[int, int], JobStats]]" = deque(
             maxlen=None if keep_jobs is None else max(0, keep_jobs)
         )
 
-    def add(self, finished: Mapping, report: Optional[Mapping] = None) -> None:
+    def add(
+        self, finished: Mapping, report: Optional[Mapping] = None, *, index: Optional[int] = None
+    ) -> None:
         """Fold one finished job and its report record (None: it has none).
 
-        ``finished`` is a ``job_finished`` event or a store record.  Compute
-        time falls back to wall time only where ``compute_time_s`` is
-        absent, as in records written before it existed.
+        ``finished`` is a ``job_finished`` event or a store record.
+        ``index`` is the job's plan index (default: the record's, else the
+        fold position).  Compute time falls back to wall time only where
+        ``compute_time_s`` is absent, as in records written before it existed.
         """
+        index = finished.get("index", self.n_jobs) if index is None else index
+        order = (index, self.n_jobs)
         wall = finished.get("wall_time_s") or 0.0
         compute = finished.get("compute_time_s")
         job = JobStats(
@@ -364,23 +374,14 @@ class StatsAccumulator:
         self.queue_wait_max_s = max(self.queue_wait_max_s, job.queue_wait_s)
         self.compute_total_s += job.compute_time_s
         self.compute_max_s = max(self.compute_max_s, job.compute_time_s)
-        self.jobs.append(job)
-        # per-benchmark §1.5 metrics, keyed name / name#N like
-        # keyed_by_benchmark: every job counts toward the suffix, only
-        # jobs with a report contribute (failed and timed-out jobs then
-        # surface as *missing* in a check against a baseline that had
-        # them)
-        seen = self._bench_counts.get(job.benchmark, 0)
-        self._bench_counts[job.benchmark] = seen + 1
+        self.jobs.append((order, job))
         report = report or {}
         metrics = {
             metric: report[metric]
             for metric, _, _ in CHECK_METRICS
             if report.get(metric) is not None
         }
-        if metrics:
-            key = f"{job.benchmark}#{seen}" if seen else job.benchmark
-            self.benchmarks[key] = metrics
+        self._measured.append((order, {"benchmark": job.benchmark, "metrics": metrics}))
 
     def snapshot(
         self,
@@ -394,6 +395,10 @@ class StatsAccumulator:
         utilization = None
         if self.workers is not None and duration_s > 0:
             utilization = self.compute_total_s / (self.workers * duration_s)
+        # §1.5 metrics in plan order, keyed name / name#N as keyed_by_benchmark keys
+        # run_records: every job counts toward the suffix, only jobs with a report
+        # contribute (a failed job surfaces as *missing* against a baseline that had it)
+        keyed = keyed_by_benchmark([row for _, row in sorted(self._measured, key=itemgetter(0))])
         return RunStats(
             run_id=self.run_id,
             n_jobs=n,
@@ -414,8 +419,10 @@ class StatsAccumulator:
             compute_max_s=self.compute_max_s,
             worker_utilization=utilization,
             phases=dict(phases or {}),
-            jobs=list(self.jobs),
-            benchmarks={k: dict(v) for k, v in self.benchmarks.items()},
+            jobs=[job for _, job in sorted(self.jobs, key=itemgetter(0))],
+            benchmarks={
+                key: dict(row["metrics"]) for key, row in keyed.items() if row["metrics"]
+            },
         )
 
 

@@ -241,6 +241,11 @@ class EventFanout:
         with self._lock:
             return len(self._callbacks)
 
+    @property
+    def closed(self) -> bool:
+        """Whether :meth:`close` ended the stream."""
+        return self._closed
+
     def attach(self, stream: EventStream) -> "EventFanout":
         """Add a file sink; every future event is appended to it."""
         with self._lock:

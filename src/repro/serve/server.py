@@ -150,7 +150,6 @@ class ServeApp:
             cache=self.cache,
             store=self.store,
             stream=self.config.stream,
-            workers=self.config.workers,
             keep_jobs=256,
         )
         self.fanout = self.journal.fanout
@@ -330,7 +329,7 @@ class ServeApp:
         # until then `engine stats` and `engine check` recompute the run
         # from its store records
         try:
-            self.journal.close(time.monotonic() - self._started_at)
+            self.journal.close(time.monotonic() - self._started_at, self.config.workers)
         finally:
             self.fanout.close()
             self.pool.shutdown(wait=False)
@@ -665,9 +664,12 @@ class ServeApp:
         )
         self._job_index += 1
         self.jobs[request_hash] = job
-        job.error = self.journal.record(
-            request, status="cached", report=job.report_record, index=job.index
-        )
+        # a hit served after the run ended (a handler still open at
+        # shutdown) is answered, not recorded: the sidecar is written
+        if not self.fanout.closed:
+            job.error = self.journal.record(
+                request, status="cached", report=job.report_record, index=job.index
+            )
         self._remember(job)
         return job
 

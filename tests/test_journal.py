@@ -17,7 +17,7 @@ from repro.engine.cache import ResultCache
 from repro.engine.journal import RunJournal
 from repro.engine.pool import ENV_INJECT_FAIL
 from repro.engine.shards import ShardedRunStore
-from repro.engine.stats import StatsAccumulator, stats_from_records
+from repro.engine.stats import CHECK_METRICS, StatsAccumulator, stats_from_records
 from repro.obs.stream import read_stream, validate_stream
 from repro.obs.telemetry import JobMetrics, MetricsRegistry
 from repro.serve import ServeClient, ServeConfig, ServerThread
@@ -88,7 +88,7 @@ class TestOneFold:
     give the same stats."""
 
     def check(self, store, stream, run_id):
-        records = [r for r in store.records() if r["run_id"] == run_id]
+        records = store.run_records(run_id)
         reports = {r["request_hash"]: r["report"] for r in records}
         acc = StatsAccumulator(run_id, keep_jobs=None)
         for event in read_stream(stream, strict=True):
@@ -127,6 +127,30 @@ class TestOneFold:
         self.check(open_store(tmp_path / "runs"), stream, app.run_id)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_repeated_benchmark_keyed_in_plan_order(tmp_path, jobs):
+    """A sweep's sidecar keys ``fft``, ``fft#1``, ``fft#2`` in plan order,
+    as ``keyed_by_benchmark`` keys the run's records, whatever order its
+    jobs finish in: here the middle point is a cache hit, recorded before
+    either other point executes."""
+    sweep = [RunRequest("fft", params={"n": n}) for n in (32, 64, 128)]
+    cache, store = tmp_path / "cache", tmp_path / "runs.jsonl"
+    Engine(EngineConfig(cache_dir=cache)).run(sweep[1:2])
+    engine = Engine(EngineConfig(jobs=jobs, cache_dir=cache, store=store))
+    results = engine.run(sweep)
+    assert [r.status for r in results] == ["ok", "cached", "ok"]
+    planned = {
+        key: {m: r.report_record[m] for m, _, _ in CHECK_METRICS if m in r.report_record}
+        for key, r in zip(("fft", "fft#1", "fft#2"), results)
+    }
+    assert len({metrics["flop_count"] for metrics in planned.values()}) == 3
+    run_id = engine.last_run_stats.run_id
+    sidecar = RunStore(store).read_stats(run_id)
+    assert sidecar["benchmarks"] == planned
+    assert stats_from_records(RunStore(store).run_records(run_id)).benchmarks == planned
+    assert [job["status"] for job in sidecar["jobs"]] == ["ok", "cached", "ok"]
+
+
 REQUEST = RunRequest("fft", params={"n": 64})
 REPORT = {"flop_count": 7, "busy_time_s": 1.0}
 JOB = {"status": "ok", "attempts": 1, "queue_wait_s": 0.1, "compute_time_s": 0.2, "index": 0}
@@ -161,7 +185,7 @@ class TestRunJournal:
             "job_finished", "ok", error,
         )
         assert journal.stats.n_jobs == 1
-        assert journal.stats.benchmarks == {"fft": REPORT}
+        assert journal.stats.snapshot(duration_s=1.0).benchmarks == {"fft": REPORT}
         if broken == "cache":
             assert REQUEST not in journal.cache
             (record,) = journal.store.records()
@@ -194,7 +218,7 @@ class TestRunJournal:
         events = []
         journal = self.journal(tmp_path, events)
         journal.executed(REQUEST, report=REPORT, wall_time_s=0.3, **JOB)
-        stats = journal.close(2.0, {"execute_s": 1.5})
+        stats = journal.close(2.0, 1, {"execute_s": 1.5})
         assert journal.store.read_stats("run-1") == stats.to_dict()
         finished = events[-1]
         assert finished["kind"] == "run_finished"
@@ -202,6 +226,7 @@ class TestRunJournal:
             "ok": 1, "failed": 0, "timeout": 0, "cached": 0,
         }
         assert finished["duration_s"] == 2.0
+        assert stats.workers == 1 and finished["worker_utilization"] == 0.1
         assert finished["throughput_jobs_per_s"] == stats.throughput_jobs_per_s == 0.5
         assert finished["cache_hit_rate"] == 0.0 and finished["retries"] == 0
         assert "timeouts" not in finished
@@ -213,7 +238,7 @@ class TestRunJournal:
         journal = self.journal(tmp_path, events)
         journal.record(REQUEST, status="cached", report=REPORT)
         journal.store.write_stats = full_disk
-        stats = journal.close(1.0)
+        stats = journal.close(1.0, 1)
         assert stats.n_jobs == 1
         assert "stats sidecar not written" in capsys.readouterr().err
         assert events[-1]["kind"] == "run_finished"

@@ -560,6 +560,62 @@ class TestDiskCacheFallback:
             assert again["job"]["source"] == "cache"
             assert again["report"] == first["report"]
 
+    @pytest.mark.parametrize("endpoint", ["submit", "result"])
+    def test_hit_after_the_run_ended_answered_not_recorded(self, tmp_path, endpoint):
+        """A handler still open when shutdown ends the run (the journal
+        closed, its sidecar written) may still reach the disk cache: the
+        hit is answered 200 and leaves no record after the sidecar."""
+        import asyncio
+
+        from repro.engine import open_store
+
+        cache = str(tmp_path / "cache")
+        with ServerThread(ServeConfig(port=0, workers=1, cache_dir=cache, timeout=120)) as (
+            host, port,
+        ):
+            first = ServeClient(host, port).submit(SMALL)
+        thread = ServerThread(ServeConfig(
+            port=0, workers=1, warmup=False, cache_dir=cache, store=str(tmp_path / "runs"),
+        ))
+        with thread:
+            pass
+        assert thread.app.fanout.closed
+        if endpoint == "submit":
+            body = json.dumps({"request": SMALL}).encode()
+            head = f"POST /submit HTTP/1.1\r\nContent-Length: {len(body)}\r\n\r\n"
+        else:
+            body = b""
+            head = f"GET /result/{first['job']['request_hash']} HTTP/1.1\r\n\r\n"
+
+        class Writer:
+            data = b""
+
+            def write(self, chunk):
+                self.data += chunk
+
+            async def drain(self):
+                pass
+
+            def close(self):
+                pass
+
+            def get_extra_info(self, name):
+                return None
+
+        async def handle():
+            reader, writer = asyncio.StreamReader(), Writer()
+            reader.feed_data(head.encode() + body)
+            reader.feed_eof()
+            await thread.app._handle(reader, writer)
+            return writer.data
+
+        status, _, payload = asyncio.run(handle()).partition(b"\r\n\r\n")
+        assert status.startswith(b"HTTP/1.1 200")
+        payload = json.loads(payload)
+        assert payload["job"]["status"] == "cached"
+        assert payload["report"] == first["report"]
+        assert open_store(tmp_path / "runs").records() == []
+
     def test_done_jobs_evicted_but_still_served(self, tmp_path):
         """``max_done_jobs`` bounds completed-job memory; evicted
         hashes are still answered from the disk cache, not re-run."""
